@@ -436,6 +436,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_up(args: argparse.Namespace) -> int:
     """Launch N worker replicas behind a coordinator, foreground."""
+    import signal
+
     from repro.cluster.lifecycle import LocalCluster, default_state_path
 
     cluster = LocalCluster(
@@ -454,35 +456,39 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         access_log=_access_log_from_arg(args),
         trace=args.trace,
     )
+    # SIGTERM takes the Ctrl-C path, so the finally below reaps the
+    # workers and removes the state file instead of leaking both
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        cluster.start()
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        cluster.close()
-        return 2
-    for worker in cluster.workers:
-        print(f"worker {worker.index}: {worker.url} (pid {worker.pid})",
+        try:
+            cluster.start()
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for worker in cluster.workers:
+            print(f"worker {worker.index}: {worker.url} (pid {worker.pid})",
+                  flush=True)
+        print(f"repro cluster coordinator listening on {cluster.url}",
               flush=True)
-    print(f"repro cluster coordinator listening on {cluster.url}", flush=True)
-    print(
-        f"  dispatch={args.dispatch!r} workers={args.workers} "
-        f"state={cluster.state_path}",
-        flush=True,
-    )
-    print(
-        "  point clients at it: "
-        f"--backend remote:{cluster.coordinator.host}:"
-        f"{cluster.coordinator.port} — "
-        "`repro cluster status` / `repro cluster down` from any shell "
-        "(Ctrl-C stops)",
-        flush=True,
-    )
-    try:
+        print(
+            f"  dispatch={args.dispatch!r} workers={args.workers} "
+            f"state={cluster.state_path}",
+            flush=True,
+        )
+        print(
+            "  point clients at it: "
+            f"--backend remote:{cluster.coordinator.host}:"
+            f"{cluster.coordinator.port} — "
+            "`repro cluster status` / `repro cluster down` from any shell "
+            "(Ctrl-C stops)",
+            flush=True,
+        )
         cluster.coordinator.join()
     except KeyboardInterrupt:
         pass
     finally:
         cluster.close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -27,9 +27,9 @@ to an undisturbed run.  An *answered* worker error (a 400/500 with a
 message) is relayed to the client unchanged: the worker is alive and
 retrying elsewhere would mask a real bug.
 
-*Admission + operability.*  The same
-:class:`~repro.service.metrics.AdmissionGate` 429/Retry-After
-behaviour as a single server, and ``/metrics`` aggregation: the
+*Operability.*  Admission (429 + Retry-After), wire modes, access logs
+and tracing come with the shared front door
+(:mod:`repro.service.frontdoor`); ``/metrics`` adds aggregation: the
 coordinator serves its own counters plus every worker's, merged
 bucket-by-bucket into one cluster-wide histogram.
 
@@ -40,11 +40,7 @@ honest by pull heartbeats and POST ``/workers/heartbeat``.
 
 from __future__ import annotations
 
-import json
 import threading
-import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -57,39 +53,13 @@ from repro.cluster.dispatch import (
 from repro.cluster.pool import WorkerPool
 from repro.core.pipeline import PlanRequest, PlanResult
 from repro.core.vectorize import VectorGroup
-from repro.registry import RegistryError
-from repro.service import wire
 from repro.service.client import (
     PlanServiceError,
     PlanServiceUnavailable,
     ServiceClient,
 )
-from repro.service.metrics import (
-    AccessLog,
-    AdmissionGate,
-    ServerMetrics,
-    merge_metrics,
-    prometheus_exposition,
-)
-from repro.service.server import stats_payload
-
-#: endpoint names the coordinator reports individually in /metrics
-_KNOWN_ENDPOINTS = frozenset(
-    (
-        "/healthz",
-        "/metrics",
-        "/cluster/status",
-        "/cache/stats",
-        "/plan",
-        "/plan_batch",
-        "/cache/get",
-        "/cache/put",
-        "/cache/clear",
-        "/workers/register",
-        "/workers/heartbeat",
-        "/cluster/shutdown",
-    )
-)
+from repro.service.frontdoor import ErrorReply, FrontDoor, Route
+from repro.service.metrics import AccessLog, merge_metrics
 
 
 class NoWorkersError(RuntimeError):
@@ -118,285 +88,7 @@ class _Unit:
         self.weight = self.size
 
 
-class _ClusterHandler(BaseHTTPRequestHandler):
-    """Routes one connection onto the owning :class:`ClusterCoordinator`."""
-
-    protocol_version = "HTTP/1.1"
-
-    @property
-    def coordinator(self) -> "ClusterCoordinator":
-        return self.server.coordinator  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
-
-    # -- plumbing (mirrors the plan server's handler) --------------------
-
-    def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
-    def _begin(self) -> None:
-        self._started = time.perf_counter()
-        route, _, query = self.path.partition("?")
-        self._route = route
-        self._query = urllib.parse.parse_qs(query)
-        self._endpoint = route if route in _KNOWN_ENDPOINTS else "other"
-        self._profile = "-"
-        self._trace = obs.parse_trace_header(
-            self.headers.get(obs.TRACE_HEADER)
-        )
-
-    def _reply(
-        self,
-        code: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: Dict[str, str] | None = None,
-    ) -> None:
-        # observe BEFORE any response byte hits the wire: once a client
-        # holds its answer the request must already be visible in
-        # /metrics — the loadtest cross-check relies on that
-        # happens-before to reconcile client and server counts exactly
-        started = getattr(self, "_started", None)
-        if started is not None:
-            trace = getattr(self, "_trace", None)
-            self.coordinator.observe_request(
-                getattr(self, "_endpoint", "other"),
-                code,
-                time.perf_counter() - started,
-                profile=getattr(self, "_profile", "-"),
-                nbytes=len(body),
-                trace=(
-                    trace.trace_id
-                    if trace is not None and trace.sampled
-                    else "-"
-                ),
-            )
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header(wire.VERSION_HEADER, str(wire.WIRE_VERSION))
-        self.send_header(
-            wire.PROFILE_HEADER, ",".join(self.coordinator.wire_profiles)
-        )
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_json(
-        self,
-        code: int,
-        payload: dict,
-        extra_headers: Dict[str, str] | None = None,
-    ) -> None:
-        self._reply(
-            code,
-            json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n",
-            "application/json",
-            extra_headers,
-        )
-
-    def _request_profile(self, body: bytes) -> str:
-        allowed = self.coordinator.wire_profiles
-        header = (self.headers.get(wire.PROFILE_HEADER) or "").strip()
-        if header:
-            profile = header
-            if profile not in wire.PROFILES:
-                raise wire.WireError(
-                    f"unknown wire profile {profile!r}; this coordinator "
-                    f"speaks {', '.join(allowed)}"
-                )
-        elif body:
-            profile = wire.detect_profile(body)
-        else:
-            profile = wire.PROFILE_PICKLE
-        if profile not in allowed:
-            raise wire.WireError(
-                f"wire profile {profile!r} refused: this coordinator runs "
-                f"--wire safe and only accepts {', '.join(allowed)}"
-            )
-        return profile
-
-    def _json_body(self, body: bytes) -> dict:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"expected a JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"expected a JSON object, got {type(payload).__name__}"
-            )
-        return payload
-
-    def _unpack(self, body: bytes, profile: str) -> Any:
-        with obs.span("wire_decode", profile=profile, nbytes=len(body)):
-            return wire.unpack_any(body, allowed=(profile,))
-
-    def _reply_envelope(self, payload: Any, profile: str) -> None:
-        with obs.span("wire_encode", profile=profile):
-            body = wire.pack_as(payload, profile)
-        self._reply(200, body, wire.CONTENT_TYPE)
-
-    def _reply_admission_full(self) -> None:
-        gate = self.coordinator.admission
-        self._reply_json(
-            429,
-            {
-                "error": (
-                    f"cluster over capacity ({gate.limit} planning "
-                    f"request(s) in flight); retry after "
-                    f"{gate.retry_after}s"
-                ),
-                "retry_after": gate.retry_after,
-            },
-            {"Retry-After": f"{gate.retry_after:g}"},
-        )
-
-    def _reply_no_workers(self, exc: Exception) -> None:
-        retry_after = self.coordinator.admission.retry_after
-        self._reply_json(
-            503,
-            {"error": str(exc), "retry_after": retry_after},
-            {"Retry-After": f"{retry_after:g}"},
-        )
-
-    # -- routes ----------------------------------------------------------
-
-    def _metrics_reply(self) -> None:
-        """Serve ``/metrics`` as JSON, or the cluster view as Prometheus.
-
-        The JSON payload is the full nested view (coordinator + per
-        worker + merged); the Prometheus rendering exposes the merged
-        ``cluster`` histogram — the series a scraper alerting on
-        cluster-wide latency wants, from one scrape target.
-        """
-        fmt = (self._query.get("format") or ["json"])[0]
-        payload = self.coordinator.metrics_payload()
-        if fmt == "prometheus":
-            self._reply(
-                200,
-                prometheus_exposition(payload["cluster"]).encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif fmt == "json":
-            self._reply_json(200, payload)
-        else:
-            self._reply_json(
-                400,
-                {"error": f"unknown metrics format {fmt!r}; "
-                          "pick 'json' or 'prometheus'"},
-            )
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._begin()
-        try:
-            if self._route == "/healthz":
-                self._reply_json(200, self.coordinator.health_payload())
-            elif self._route == "/metrics":
-                self._metrics_reply()
-            elif self._route == "/cluster/status":
-                self._reply_json(200, self.coordinator.status_payload())
-            elif self._route == "/cache/stats":
-                self._reply_json(200, self.coordinator.cache_stats())
-            else:
-                self._reply_json(404, {"error": f"no such endpoint {self.path}"})
-        except NoWorkersError as exc:
-            self._reply_no_workers(exc)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._reply_json(500, {"error": str(exc)})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._begin()
-        try:
-            body = self._body()
-            if self._route == "/workers/register":
-                info = self.coordinator.pool.register(
-                    str(self._json_body(body).get("url", ""))
-                )
-                self._reply_json(
-                    200, {"registered": True, "id": info.id, "url": info.url}
-                )
-                return
-            if self._route == "/workers/heartbeat":
-                info = self.coordinator.pool.heartbeat(
-                    str(self._json_body(body).get("url", ""))
-                )
-                self._reply_json(
-                    200, {"alive": info.alive, "id": info.id, "url": info.url}
-                )
-                return
-            if self._route == "/cluster/shutdown":
-                self._reply_json(200, {"stopping": True})
-                self.coordinator.request_shutdown()
-                return
-            profile = self._request_profile(body)
-            self._profile = profile
-            # sampled traced requests record a coordinator root span;
-            # plan_items picks the active trace up from this thread and
-            # forwards child contexts on every worker hop
-            with obs.serving(
-                self.coordinator.span_recorder,
-                self._trace,
-                f"coordinator {self._endpoint}",
-            ):
-                self._route_post(body, profile)
-        except (wire.WireError, RegistryError, TypeError, ValueError) as exc:
-            self._reply_json(400, {"error": str(exc)})
-        except NoWorkersError as exc:
-            self._reply_no_workers(exc)
-        except PlanServiceError as exc:
-            # a worker *answered* with an error; relay it truthfully
-            code = exc.code if exc.code and 400 <= exc.code < 600 else 502
-            self._reply_json(code, {"error": f"worker error: {exc}"})
-        except Exception as exc:
-            self._reply_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    def _route_post(self, body: bytes, profile: str) -> None:
-        if self._route in ("/plan", "/plan_batch"):
-            if not self.coordinator.admission.try_acquire():
-                self._reply_admission_full()
-                return
-            try:
-                self._do_plan(body, profile)
-            finally:
-                self.coordinator.admission.release()
-        elif self._route == "/cache/get":
-            key = self._unpack(body, profile)
-            self._reply_envelope(self.coordinator.cache_get(key), profile)
-        elif self._route == "/cache/put":
-            key, result = self._unpack(body, profile)
-            self.coordinator.cache_put(key, result)
-            self._reply_json(200, {"stored": True})
-        elif self._route == "/cache/clear":
-            self._reply_json(
-                200, {"cleared": True, **self.coordinator.cache_clear()}
-            )
-        else:
-            self._reply_json(404, {"error": f"no such endpoint {self.path}"})
-
-    def _do_plan(self, body: bytes, profile: str) -> None:
-        if self._route == "/plan":
-            request = self._unpack(body, profile)
-            if not isinstance(request, PlanRequest):
-                raise wire.WireError(
-                    f"/plan expects a PlanRequest, got {type(request).__name__}"
-                )
-            self._reply_envelope(
-                self.coordinator.plan_items([request])[0], profile
-            )
-        else:
-            items = self._unpack(body, profile)
-            self._reply_envelope(self.coordinator.plan_items(items), profile)
-
-
-class _ThreadingClusterServer(ThreadingHTTPServer):
-    daemon_threads = True
-    coordinator: "ClusterCoordinator"
-
-
-class ClusterCoordinator:
+class ClusterCoordinator(FrontDoor):
     """HTTP front door for a pool of plan-server replicas.
 
     ``workers`` seeds the pool (more can register later);
@@ -406,13 +98,17 @@ class ClusterCoordinator:
     (429 + Retry-After beyond it); ``heartbeat_interval`` /
     ``max_missed`` tune the pull-heartbeat monitor; ``max_reroutes``
     bounds how many times a failed sub-batch is re-dispatched before
-    the client sees a 503.  ``shard_groups=False`` disables
-    VectorGroup sharding (one group, one worker — useful to measure
-    what sharding buys).
+    the client sees a 503.
 
-    Use as a context manager or call :meth:`close`; :meth:`start` runs
-    the accept loop and the heartbeat monitor on daemon threads.
+    The HTTP protocol is the shared
+    :class:`~repro.service.frontdoor.FrontDoor`'s; this class supplies
+    the operations, the control-plane routes and the 503/502 error
+    mappings.  Use as a context manager or call :meth:`close`;
+    :meth:`start` runs the accept loop and the heartbeat monitor on
+    daemon threads.
     """
+
+    role = "coordinator"
 
     def __init__(
         self,
@@ -428,68 +124,73 @@ class ClusterCoordinator:
         max_missed: int = 2,
         max_reroutes: int = 3,
         worker_timeout: float = 60.0,
-        shard_groups: bool = True,
         access_log: AccessLog | None = None,
         span_recorder: obs.SpanRecorder | None = None,
     ) -> None:
-        if wire_mode not in ("auto", "safe"):
-            raise ValueError(
-                f"wire_mode must be 'auto' or 'safe', got {wire_mode!r}"
-            )
+        super().__init__(
+            wire_mode=wire_mode,
+            max_inflight=max_inflight,
+            retry_after=retry_after,
+            access_log=access_log,
+            span_recorder=span_recorder,
+        )
         if max_reroutes < 0:
             raise ValueError(f"max_reroutes must be >= 0, got {max_reroutes}")
-        self.wire_mode = wire_mode
-        self.wire_profiles: tuple = (
-            (wire.PROFILE_BINARY,) if wire_mode == "safe" else wire.PROFILES
-        )
         self.pool = WorkerPool(max_missed=max_missed)
         self.dispatch = dispatch_from_spec(dispatch)
-        self.metrics = ServerMetrics()
-        #: when set, every handled response also appends one access line
-        self.access_log = access_log
-        #: when set, sampled traced requests record coordinator root +
-        #: per-worker dispatch spans here (``repro cluster up --trace``)
-        self.span_recorder = span_recorder
-        self.admission = AdmissionGate(max_inflight, retry_after)
         self.heartbeat_interval = float(heartbeat_interval)
         self.max_reroutes = int(max_reroutes)
         self.worker_timeout = float(worker_timeout)
-        self.shard_groups = bool(shard_groups)
         self._clients: Dict[str, ServiceClient] = {}
         self._clients_lock = threading.Lock()
         for url in workers:
             self.pool.register(url)
-        self._http = _ThreadingClusterServer((host, port), _ClusterHandler)
-        self._http.coordinator = self
-        self.host, self.port = self._http.server_address[:2]
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        self._listen(host, port)
 
-    # -- handler-facing API -----------------------------------------------
+    # -- what the front door needs beyond the shared routes ---------------
 
-    def observe_request(
-        self,
-        endpoint: str,
-        status: int,
-        elapsed_s: float,
-        *,
-        profile: str = "-",
-        nbytes: int = 0,
-        trace: str = "-",
-    ) -> None:
-        """The single exit point every handled response reports through.
+    def route_table(self) -> Dict[str, Route]:
+        return {
+            **super().route_table(),
+            "/cluster/status": Route("GET", self.status_payload),
+            "/workers/register": Route(
+                "POST", self._register_route, "json", wire=False
+            ),
+            "/workers/heartbeat": Route(
+                "POST", self._heartbeat_route, "json", wire=False
+            ),
+            "/cluster/shutdown": Route(
+                "POST", self._shutdown_route, wire=False
+            ),
+        }
 
-        Identical contract to
-        :meth:`repro.service.server.PlanServer.observe_request`: feeds
-        the front-door histograms and, when enabled, the access log
-        from one call site so the two can never disagree.
-        """
-        self.metrics.observe(endpoint, status, elapsed_s)
-        if self.access_log is not None:
-            self.access_log.record(
-                endpoint, status, elapsed_s,
-                wire=profile, nbytes=nbytes, trace=trace,
+    def error_reply(self, exc: Exception) -> ErrorReply | None:
+        if isinstance(exc, NoWorkersError):
+            retry_after = self.admission.retry_after
+            return (
+                503,
+                {"error": str(exc), "retry_after": retry_after},
+                {"Retry-After": f"{retry_after:g}"},
             )
+        if isinstance(exc, PlanServiceError):
+            # a worker *answered* with an error; relay it truthfully
+            code = exc.code if exc.code and 400 <= exc.code < 600 else 502
+            return code, {"error": f"worker error: {exc}"}, {}
+        return None
+
+    def _register_route(self, payload: dict) -> dict:
+        info = self.pool.register(str(payload.get("url", "")))
+        return {"registered": True, "id": info.id, "url": info.url}
+
+    def _heartbeat_route(self, payload: dict) -> dict:
+        info = self.pool.heartbeat(str(payload.get("url", "")))
+        return {"alive": info.alive, "id": info.id, "url": info.url}
+
+    def _shutdown_route(self) -> dict:
+        # close() runs on its own thread and first waits for the accept
+        # loop to stop, so this acknowledgement still goes out
+        self.request_shutdown()
+        return {"stopping": True}
 
     # -- worker clients ---------------------------------------------------
 
@@ -524,29 +225,18 @@ class ClusterCoordinator:
     # -- dispatch ---------------------------------------------------------
 
     def _units(self, items: Sequence[Any]) -> Tuple[List[_Unit], List[Any]]:
-        """Validate and cut a ``/plan_batch`` into dispatchable units.
+        """Cut a ``/plan_batch`` into dispatchable units.
 
         Returns the units plus a results skeleton: ``None`` per scalar
         slot, a pre-sized list per VectorGroup slot that sharded units
         fill by offset.
         """
-        if not isinstance(items, (list, tuple)):
-            raise wire.WireError(
-                f"/plan_batch expects a list of items, got {type(items).__name__}"
-            )
-        for item in items:
-            if not isinstance(item, (PlanRequest, VectorGroup)):
-                raise wire.WireError(
-                    "plan_batch items must be PlanRequest or VectorGroup, "
-                    f"got {type(item).__name__}"
-                )
         n_alive = max(1, len(self.pool.alive()))
         units: List[_Unit] = []
         skeleton: List[Any] = []
         for index, item in enumerate(items):
             if (
                 isinstance(item, VectorGroup)
-                and self.shard_groups
                 and n_alive > 1
                 and len(item.requests) > 1
             ):
@@ -568,6 +258,9 @@ class ClusterCoordinator:
                 units.append(_Unit(item, index))
                 skeleton.append(None)
         return units, skeleton
+
+    def plan(self, request: PlanRequest) -> PlanResult:
+        return self.plan_items([request])[0]
 
     def plan_items(self, items: Sequence[Any]) -> List[Any]:
         """Plan a ``/plan_batch`` item list across the worker pool.
@@ -732,7 +425,7 @@ class ClusterCoordinator:
     def cache_put(self, key: Hashable, result: PlanResult) -> None:
         self._route_cache(key, lambda c: c.cache_put(key, result))
 
-    def cache_clear(self) -> Dict[str, int]:
+    def cache_clear(self) -> dict:
         """Clear every alive worker's store; report how many answered."""
         cleared = 0
         alive = self.pool.alive()
@@ -744,7 +437,7 @@ class ClusterCoordinator:
                 cleared += 1
             except PlanServiceUnavailable as exc:
                 self.pool.mark_dead(worker.url, f"unreachable: {exc}")
-        return {"workers_cleared": cleared}
+        return {"cleared": True, "workers_cleared": cleared}
 
     def cache_stats(self) -> dict:
         """Aggregate ``/cache/stats`` across workers.
@@ -791,29 +484,19 @@ class ClusterCoordinator:
     # -- control-plane payloads -------------------------------------------
 
     def health_payload(self) -> dict:
-        from repro import __version__
-
         snapshot = self.pool.snapshot()
-        return {
-            "status": "ok",
-            "role": "coordinator",
-            "service": wire.WIRE_FORMAT,
-            "wire_version": wire.WIRE_VERSION,
-            "wire_profiles": list(self.wire_profiles),
-            "wire_mode": self.wire_mode,
-            "version": __version__,
-            "dispatch": self.dispatch.name,
-            "workers_alive": snapshot["alive"],
-            "workers_total": snapshot["total"],
-            "max_inflight": self.admission.limit,
-        }
+        return self._health(
+            role="coordinator",
+            dispatch=self.dispatch.name,
+            workers_alive=snapshot["alive"],
+            workers_total=snapshot["total"],
+        )
 
     def status_payload(self) -> dict:
         return {
             "role": "coordinator",
             "url": self.url,
             "dispatch": self.dispatch.name,
-            "shard_groups": self.shard_groups,
             "max_reroutes": self.max_reroutes,
             "heartbeat_interval": self.heartbeat_interval,
             "admission": {
@@ -842,28 +525,18 @@ class ClusterCoordinator:
             "cluster": merge_metrics(mergeable),
         }
 
+    def prometheus_view(self, payload: dict) -> dict:
+        """The merged cluster histogram: what a scraper alerting on
+        cluster-wide latency wants, from one scrape target."""
+        return payload["cluster"]
+
     # -- lifecycle --------------------------------------------------------
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ClusterCoordinator":
-        """Serve + heartbeat on daemon threads and return immediately."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._http.serve_forever,
-                name="repro-cluster-coordinator",
-                daemon=True,
-            )
-            self._thread.start()
-            self.pool.start_monitor(self._probe, self.heartbeat_interval)
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve in the calling thread until :meth:`close` / interrupt."""
+    def _on_start(self) -> None:
         self.pool.start_monitor(self._probe, self.heartbeat_interval)
-        self._http.serve_forever()
+
+    def _on_close(self) -> None:
+        self.pool.stop_monitor()
 
     def join(self, timeout: float | None = None) -> None:
         """Block until the accept loop stops (the CLI's foreground wait)."""
@@ -873,27 +546,6 @@ class ClusterCoordinator:
     def request_shutdown(self) -> None:
         """Stop serving soon, from a handler thread (``/cluster/shutdown``)."""
         threading.Thread(target=self.close, daemon=True).start()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.pool.stop_monitor()
-        self._http.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._http.server_close()
-        if self.access_log is not None:
-            self.access_log.close()
-        if self.span_recorder is not None:
-            self.span_recorder.close()
-
-    def __enter__(self) -> "ClusterCoordinator":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         snapshot = self.pool.snapshot()

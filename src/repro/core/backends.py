@@ -163,7 +163,7 @@ def backend_from_spec(
 ) -> Backend:
     """Resolve a ``--backend`` spec to a backend through the registry.
 
-    A bare name (``serial`` / ``threaded`` / ``process`` / ``asyncio``)
+    A bare name (``serial`` / ``threaded`` / ``process``)
     instantiates that backend; ``name:ARG`` passes the remainder to the
     factory — the service layer's ``remote:HOST:PORT`` is the built-in
     user.  An already-constructed backend passes through unchanged, so

@@ -43,7 +43,6 @@ PROVIDER_MODULES: dict[str, tuple[str, ...]] = {
     ),
     "backend": (
         "repro.core.backends",
-        "repro.service.asyncio_backend",
         "repro.service.client",
     ),
     "cache": (

@@ -14,9 +14,6 @@ seam and the PR-4 plan-store protocol:
   :class:`HTTPPlanCache` (``cache`` kind, spec ``http://HOST:PORT``)
   makes the server's store a shared cache tier for many client
   processes.
-* :mod:`repro.service.asyncio_backend` — :class:`AsyncioBackend`
-  (``backend`` kind, name ``asyncio``): bounded event-loop fan-out,
-  awaitable inside servers.
 
 The remote components register under the ordinary ``backend`` /
 ``cache`` kinds, so every existing planning path — sessions, the
@@ -26,7 +23,6 @@ bit-identical to local planning (the vectorise suite's ``rtol=1e-12``
 envelope), cache entries are interchangeable with every other store.
 """
 
-from repro.service.asyncio_backend import AsyncioBackend
 from repro.service.client import (
     HTTPPlanCache,
     PlanServiceError,
@@ -37,7 +33,6 @@ from repro.service.server import PlanServer
 from repro.service.wire import WIRE_FORMAT, WIRE_VERSION, WireError
 
 __all__ = [
-    "AsyncioBackend",
     "HTTPPlanCache",
     "PlanServer",
     "PlanServiceError",

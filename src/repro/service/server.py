@@ -21,13 +21,12 @@ endpoint            verb  payload
 Binary payloads are the versioned envelopes of :mod:`repro.service.wire`
 (magic header checked before unpickling, wire-version mismatches fail
 loudly); control/inspection endpoints are plain JSON so ``curl`` works.
-Each request names its wire profile (``pickle-v1`` or the typed
-zero-copy ``binary-v2``) in the :data:`~repro.service.wire.PROFILE_HEADER`
-header — or implicitly via the body's magic line — and the server
-answers in the same profile, so old v1 clients keep working.  With
-``wire_mode="safe"`` (``repro serve --wire safe``) pickle envelopes
-are refused with a 400 before anything is unpickled; ``/healthz``
-advertises the accepted profiles so clients negotiate up front.
+The HTTP protocol itself — wire-profile negotiation and ``--wire
+safe``, the 400/500 error mapping, ``/metrics`` as JSON or Prometheus,
+``--max-inflight`` admission (``429`` + ``Retry-After``), ``--log``
+access lines and ``--trace`` spans — is the shared front door's
+(:mod:`repro.service.frontdoor`); this module supplies the planning
+operations behind it.
 
 ``/plan`` and ``/plan_batch`` route through the server's session, so
 every result a client ever asked for lands in the server's plan store —
@@ -40,34 +39,14 @@ Concurrency: the HTTP layer is thread-per-connection
 (:class:`http.server.ThreadingHTTPServer`), the session's store is
 wrapped in :class:`~repro.core.cache.ThreadSafePlanStore`, and the
 session's backend fans each batch out as usual — so concurrent clients
-plan concurrently and still see one consistent cache.  Failure
-semantics: malformed envelopes and unknown component names are ``400``
-with a JSON error body (client mistakes), planning crashes are ``500``
-(server truthfully relays the exception message); clients retry only
-transport-level failures and 429 refusals — see
+plan concurrently and still see one consistent cache.  Clients retry
+only transport-level failures and 429 refusals — see
 :mod:`repro.service.client`.
-
-Operability: ``/metrics`` serves per-endpoint request counts and
-latency histograms (:class:`~repro.service.metrics.ServerMetrics`) as
-plain JSON (``?format=prometheus`` renders the same counters as
-Prometheus text exposition for standard scrapers), and ``max_inflight``
-(``repro serve --max-inflight N``) bounds concurrent planning requests
-— the excess is refused with ``429`` + ``Retry-After`` before any
-planning work starts, so bursts degrade gracefully instead of timing
-every client out.  With ``--trace`` a
-:class:`~repro.obs.SpanRecorder` is attached and requests carrying a
-sampled ``X-Repro-Trace`` context record per-stage spans (wire decode,
-cache lookup, kernel time, wire encode) as JSONL — see :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Sequence
+from typing import Any, List, Sequence
 
 from repro.core.cache import (
     CacheStats,
@@ -76,33 +55,12 @@ from repro.core.cache import (
     ThreadSafePlanStore,
     cache_from_spec,
 )
-from repro.core.pipeline import PlanRequest
+from repro.core.pipeline import PlanRequest, PlanResult
 from repro.core.session import PlannerSession
 from repro.core.vectorize import VectorGroup
 from repro import obs
-from repro.registry import RegistryError
-from repro.service import wire
-from repro.service.metrics import (
-    AccessLog,
-    AdmissionGate,
-    ServerMetrics,
-    prometheus_exposition,
-)
-
-#: endpoints /metrics reports individually; anything else aggregates
-#: under "other" so probing clients cannot grow the metric cardinality
-_KNOWN_ENDPOINTS = frozenset(
-    (
-        "/healthz",
-        "/metrics",
-        "/cache/stats",
-        "/plan",
-        "/plan_batch",
-        "/cache/get",
-        "/cache/put",
-        "/cache/clear",
-    )
-)
+from repro.service.frontdoor import FrontDoor
+from repro.service.metrics import AccessLog
 
 
 def stats_payload(stats: CacheStats | None) -> dict:
@@ -139,270 +97,20 @@ def stats_from_payload(payload: dict) -> CacheStats | None:
     )
 
 
-class _PlanHandler(BaseHTTPRequestHandler):
-    """Routes one connection's requests onto the owning :class:`PlanServer`."""
-
-    protocol_version = "HTTP/1.1"
-
-    # the ThreadingHTTPServer subclass below carries the PlanServer
-    @property
-    def planner(self) -> "PlanServer":
-        return self.server.planner  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        # planning servers sit in benchmarks and tests; per-request
-        # access logging is the caller's job, not stderr spam
-        pass
-
-    # -- plumbing --------------------------------------------------------
-
-    def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
-    def _begin(self) -> None:
-        """Stamp the request start for the latency histogram."""
-        self._started = time.perf_counter()
-        # split any query string off before route matching, so
-        # /metrics?format=prometheus is still the /metrics endpoint
-        # (and not an unbounded "other" per query variant)
-        route, _, query = self.path.partition("?")
-        self._route = route
-        self._query = urllib.parse.parse_qs(query)
-        self._endpoint = route if route in _KNOWN_ENDPOINTS else "other"
-        # wire profile for the access log; POST routes overwrite this
-        # once _request_profile has decided
-        self._profile = "-"
-        # the trace context this request carries, if any; only sampled
-        # ones surface in the access log (unsampled means "don't record")
-        self._trace = obs.parse_trace_header(
-            self.headers.get(obs.TRACE_HEADER)
-        )
-
-    def _reply(
-        self,
-        code: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: Dict[str, str] | None = None,
-    ) -> None:
-        # observe BEFORE any response byte hits the wire: once a client
-        # holds its answer the request must already be visible in
-        # /metrics — the loadtest cross-check relies on that
-        # happens-before to reconcile client and server counts exactly
-        started = getattr(self, "_started", None)
-        if started is not None:
-            trace = getattr(self, "_trace", None)
-            self.planner.observe_request(
-                getattr(self, "_endpoint", "other"),
-                code,
-                time.perf_counter() - started,
-                profile=getattr(self, "_profile", "-"),
-                nbytes=len(body),
-                trace=(
-                    trace.trace_id
-                    if trace is not None and trace.sampled
-                    else "-"
-                ),
-            )
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header(wire.VERSION_HEADER, str(wire.WIRE_VERSION))
-        self.send_header(
-            wire.PROFILE_HEADER, ",".join(self.planner.wire_profiles)
-        )
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_json(
-        self,
-        code: int,
-        payload: dict,
-        extra_headers: Dict[str, str] | None = None,
-    ) -> None:
-        self._reply(
-            code,
-            json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n",
-            "application/json",
-            extra_headers,
-        )
-
-    def _reply_admission_full(self) -> None:
-        """429 + Retry-After: the admission gate refused this request."""
-        gate = self.planner.admission
-        self._reply_json(
-            429,
-            {
-                "error": (
-                    f"server over capacity ({gate.limit} planning "
-                    f"request(s) in flight); retry after "
-                    f"{gate.retry_after}s"
-                ),
-                "retry_after": gate.retry_after,
-            },
-            {"Retry-After": f"{gate.retry_after:g}"},
-        )
-
-    def _request_profile(self, body: bytes) -> str:
-        """The wire profile this request speaks (header, else magic).
-
-        Requests with an empty body (``/cache/clear``) carry no magic
-        line, so the :data:`~repro.service.wire.PROFILE_HEADER` the
-        clients send decides; bodies decide for headerless v1 clients.
-        A profile the server refuses (``--wire safe`` vs pickle) fails
-        here with a clear, actionable message — before any unpickling.
-        """
-        allowed = self.planner.wire_profiles
-        header = (self.headers.get(wire.PROFILE_HEADER) or "").strip()
-        if header:
-            profile = header
-            if profile not in wire.PROFILES:
-                raise wire.WireError(
-                    f"unknown wire profile {profile!r}; this server "
-                    f"speaks {', '.join(allowed)}"
-                )
-        elif body:
-            profile = wire.detect_profile(body)
-        else:
-            profile = wire.PROFILE_PICKLE
-        if profile not in allowed:
-            raise wire.WireError(
-                f"wire profile {profile!r} refused: this server runs "
-                f"--wire safe and only accepts {', '.join(allowed)} — "
-                "upgrade the client (it negotiates binary-v2 via "
-                "/healthz) or restart the server with --wire auto"
-            )
-        return profile
-
-    def _unpack(self, body: bytes, profile: str) -> Any:
-        with obs.span("wire_decode", profile=profile, nbytes=len(body)):
-            return wire.unpack_any(body, allowed=(profile,))
-
-    def _reply_envelope(self, payload: Any, profile: str) -> None:
-        with obs.span("wire_encode", profile=profile):
-            body = wire.pack_as(payload, profile)
-        self._reply(200, body, wire.CONTENT_TYPE)
-
-    # -- routes ----------------------------------------------------------
-
-    def _metrics_reply(self, payload: dict) -> None:
-        """Serve ``/metrics`` as JSON, or Prometheus text on request."""
-        fmt = (self._query.get("format") or ["json"])[0]
-        if fmt == "prometheus":
-            self._reply(
-                200,
-                prometheus_exposition(payload).encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif fmt == "json":
-            self._reply_json(200, payload)
-        else:
-            self._reply_json(
-                400,
-                {"error": f"unknown metrics format {fmt!r}; "
-                          "pick 'json' or 'prometheus'"},
-            )
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._begin()
-        try:
-            if self._route == "/healthz":
-                self._reply_json(200, self.planner.health_payload())
-            elif self._route == "/metrics":
-                self._metrics_reply(self.planner.metrics.payload())
-            elif self._route == "/cache/stats":
-                self._reply_json(
-                    200, stats_payload(self.planner.session.cache_stats())
-                )
-            else:
-                self._reply_json(404, {"error": f"no such endpoint {self.path}"})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._reply_json(500, {"error": str(exc)})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._begin()
-        try:
-            body = self._body()
-            profile = self._request_profile(body)
-            self._profile = profile
-            # sampled traced requests record a root span covering
-            # everything from here through the response write; seams
-            # inside (decode, cache, kernels, encode) nest under it
-            with obs.serving(
-                self.planner.span_recorder,
-                self._trace,
-                f"server {self._endpoint}",
-            ):
-                self._route_post(body, profile)
-        except (wire.WireError, RegistryError, TypeError, ValueError) as exc:
-            # client mistakes: bad envelope, unknown strategy, cache off
-            self._reply_json(400, {"error": str(exc)})
-        except Exception as exc:
-            # a genuine planning crash; relay the message truthfully
-            self._reply_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    def _route_post(self, body: bytes, profile: str) -> None:
-        if self._route in ("/plan", "/plan_batch"):
-            if not self.planner.admission.try_acquire():
-                self._reply_admission_full()
-                return
-            try:
-                self._do_plan(body, profile)
-            finally:
-                self.planner.admission.release()
-        elif self._route == "/cache/get":
-            key = self._unpack(body, profile)
-            with obs.span("cache_lookup", endpoint="/cache/get"):
-                hit = self.planner.store().get(key)
-            self._reply_envelope(hit, profile)
-        elif self._route == "/cache/put":
-            key, result = self._unpack(body, profile)
-            self.planner.store().put(key, result)
-            self._reply_json(200, {"stored": True})
-        elif self._route == "/cache/clear":
-            self.planner.store().clear()
-            self._reply_json(200, {"cleared": True})
-        else:
-            self._reply_json(404, {"error": f"no such endpoint {self.path}"})
-
-    def _do_plan(self, body: bytes, profile: str) -> None:
-        """The admission-gated planning endpoints."""
-        if self._route == "/plan":
-            request = self._unpack(body, profile)
-            if not isinstance(request, PlanRequest):
-                raise wire.WireError(
-                    f"/plan expects a PlanRequest, got {type(request).__name__}"
-                )
-            self._reply_envelope(self.planner.session.plan(request), profile)
-        else:
-            items = self._unpack(body, profile)
-            self._reply_envelope(self.planner.plan_items(items), profile)
-
-
-class _ThreadingPlanServer(ThreadingHTTPServer):
-    daemon_threads = True
-    #: set by PlanServer right after construction
-    planner: "PlanServer"
-
-
-class PlanServer:
+class PlanServer(FrontDoor):
     """A planning session behind an HTTP front (see module docstring).
 
     Parameters mirror :class:`~repro.core.session.PlannerSession`:
     ``backend`` / ``jobs`` pick the execution backend the *server* fans
-    batches out on (``asyncio`` and ``threaded`` suit a server; even
-    ``remote:...`` works, chaining servers), ``cache`` is any store
-    spec — ``sqlite:PATH`` or ``tiered:PATH`` make the shared store
-    durable, which is what lets a restarted server keep serving disk
-    hits.  ``port=0`` binds an ephemeral port (read it back from
-    ``.port`` / the ``repro serve`` banner).
-
-    Use as a context manager or call :meth:`close`; :meth:`start` runs
-    the accept loop on a daemon thread (tests, embedding),
-    :meth:`serve_forever` runs it in the calling thread (the CLI).
+    batches out on (``threaded`` suits a server; even ``remote:...``
+    works, chaining servers), ``cache`` is any store spec —
+    ``sqlite:PATH`` or ``tiered:PATH`` make the shared store durable,
+    which is what lets a restarted server keep serving disk hits.
+    ``port=0`` binds an ephemeral port (read it back from ``.port`` /
+    the ``repro serve`` banner).  The HTTP protocol, admission, wire
+    modes, metrics, access log and tracing are the shared
+    :class:`~repro.service.frontdoor.FrontDoor`'s; this class supplies
+    the operations its routes call.
     """
 
     def __init__(
@@ -420,26 +128,12 @@ class PlanServer:
         access_log: AccessLog | None = None,
         span_recorder: obs.SpanRecorder | None = None,
     ) -> None:
-        if wire_mode not in ("auto", "safe"):
-            raise ValueError(
-                f"wire_mode must be 'auto' or 'safe', got {wire_mode!r}"
-            )
-        self.wire_mode = wire_mode
-        self.metrics = ServerMetrics()
-        #: when set, every handled response also appends one access line
-        self.access_log = access_log
-        #: when set, sampled traced requests record spans here
-        #: (``repro serve --trace``); None means tracing is off and the
-        #: handlers pay one attribute read per request, nothing more
-        self.span_recorder = span_recorder
-        #: queue-depth limit on the planning endpoints (None = unbounded)
-        self.admission = AdmissionGate(max_inflight, retry_after)
-        #: profiles this server accepts and advertises, preference first;
-        #: ``safe`` drops pickle-v1 so nothing on this port ever unpickles
-        self.wire_profiles: tuple = (
-            (wire.PROFILE_BINARY,)
-            if wire_mode == "safe"
-            else wire.PROFILES
+        super().__init__(
+            wire_mode=wire_mode,
+            max_inflight=max_inflight,
+            retry_after=retry_after,
+            access_log=access_log,
+            span_recorder=span_recorder,
         )
         if cache is True:
             store: PlanStore | None = MemoryPlanCache()
@@ -459,38 +153,9 @@ class PlanServer:
         self.cache_spec = cache if isinstance(cache, str) else (
             "off" if store is None else type(store).__name__
         )
-        self._http = _ThreadingPlanServer((host, port), _PlanHandler)
-        self._http.planner = self
-        self.host, self.port = self._http.server_address[:2]
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        self._listen(host, port)
 
-    # -- handler-facing API ----------------------------------------------
-
-    def observe_request(
-        self,
-        endpoint: str,
-        status: int,
-        elapsed_s: float,
-        *,
-        profile: str = "-",
-        nbytes: int = 0,
-        trace: str = "-",
-    ) -> None:
-        """The single exit point every handled response reports through.
-
-        Feeds the latency histograms and, when ``--log`` enabled one,
-        the access log — from one call site, so the two can never
-        disagree about what was served.  ``trace`` is the sampled
-        trace id the request carried (``-`` otherwise), letting log
-        lines join trace files by id.
-        """
-        self.metrics.observe(endpoint, status, elapsed_s)
-        if self.access_log is not None:
-            self.access_log.record(
-                endpoint, status, elapsed_s,
-                wire=profile, nbytes=nbytes, trace=trace,
-            )
+    # -- operations the routes call ----------------------------------------
 
     def store(self) -> PlanStore:
         """The shared store, or a clean error when caching is off."""
@@ -500,6 +165,9 @@ class PlanServer:
                 "/cache endpoints are unavailable"
             )
         return self._store
+
+    def plan(self, request: PlanRequest) -> PlanResult:
+        return self.session.plan(request)
 
     def plan_items(
         self, items: Sequence["PlanRequest | VectorGroup"]
@@ -515,24 +183,15 @@ class PlanServer:
         vectorise pass may fuse groups the client sent separately —
         results are contract-equal either way).
         """
-        if not isinstance(items, (list, tuple)):
-            raise wire.WireError(
-                f"/plan_batch expects a list of items, got {type(items).__name__}"
-            )
         flat: List[PlanRequest] = []
         group_sizes: List[int | None] = []
         for item in items:
             if isinstance(item, VectorGroup):
                 group_sizes.append(len(item.requests))
                 flat.extend(item.requests)
-            elif isinstance(item, PlanRequest):
+            else:
                 group_sizes.append(None)
                 flat.append(item)
-            else:
-                raise wire.WireError(
-                    "plan_batch items must be PlanRequest or VectorGroup, "
-                    f"got {type(item).__name__}"
-                )
         results = self.session.plan_batch(flat)
         outputs: List[Any] = []
         position = 0
@@ -545,65 +204,29 @@ class PlanServer:
                 position += size
         return outputs
 
+    def cache_get(self, key: Any) -> PlanResult | None:
+        with obs.span("cache_lookup", endpoint="/cache/get"):
+            return self.store().get(key)
+
+    def cache_put(self, key: Any, result: PlanResult) -> None:
+        self.store().put(key, result)
+
+    def cache_clear(self) -> dict:
+        self.store().clear()
+        return {"cleared": True}
+
+    def cache_stats(self) -> dict:
+        return stats_payload(self.session.cache_stats())
+
     def health_payload(self) -> dict:
-        from repro import __version__
+        return self._health(
+            backend=self.session.backend_name, cache=self.cache_spec
+        )
 
-        return {
-            "status": "ok",
-            "service": wire.WIRE_FORMAT,
-            "wire_version": wire.WIRE_VERSION,
-            "wire_profiles": list(self.wire_profiles),
-            "wire_mode": self.wire_mode,
-            "version": __version__,
-            "backend": self.session.backend_name,
-            "cache": self.cache_spec,
-            "max_inflight": self.admission.limit,
-        }
-
-    # -- lifecycle -------------------------------------------------------
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "PlanServer":
-        """Serve on a daemon thread and return immediately."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._http.serve_forever,
-                name="repro-plan-server",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve in the calling thread until :meth:`close` / interrupt."""
-        self._http.serve_forever()
-
-    def close(self) -> None:
-        """Stop accepting, release the socket and the session (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._http.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._http.server_close()
+    def _on_close(self) -> None:
         self.session.close()
         if self._store is not None:
             self._store.close()
-        if self.access_log is not None:
-            self.access_log.close()
-        if self.span_recorder is not None:
-            self.span_recorder.close()
-
-    def __enter__(self) -> "PlanServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

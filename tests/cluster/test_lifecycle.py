@@ -1,12 +1,17 @@
 """LocalCluster: subprocess workers, state file, kill/teardown."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster.lifecycle import (
     LocalCluster,
     cluster_status,
@@ -126,3 +131,53 @@ class TestLocalCluster:
         cluster.close()
         with pytest.raises(FileNotFoundError):
             read_state(str(tmp_path / "broken.json"))
+
+
+class TestClusterUpSignals:
+    """``repro cluster up`` as a real process, stopped by a signal."""
+
+    @staticmethod
+    def _pid_alive(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    def test_sigterm_reaps_workers_and_removes_state(self, tmp_path):
+        state_path = tmp_path / "cluster.json"
+        src_dir = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src_dir))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cluster", "up", "-n", "2",
+             "--port", "0", "--state", str(state_path)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 60
+            while not state_path.exists():
+                assert proc.poll() is None, "cluster up exited early"
+                assert time.monotonic() < deadline, "no state file"
+                time.sleep(0.05)
+            pids = [int(w["pid"]) for w in read_state(str(state_path))["workers"]]
+            assert len(pids) == 2
+            assert all(self._pid_alive(pid) for pid in pids)
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+
+            deadline = time.monotonic() + 10
+            while any(map(self._pid_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if self._pid_alive(pid)] == []
+            assert not state_path.exists()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            for pid in pids:
+                if self._pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -14,6 +14,7 @@ Everything else (400, 500, ...) surfaces immediately, no retry.
 
 import email.utils
 import json
+import math
 import threading
 import time
 import urllib.request
@@ -163,7 +164,10 @@ class Test429Path:
         """Regression: only the numeric Retry-After form was parsed;
         the RFC 7231 HTTP-date form silently fell back to retry_wait,
         defeating the server's hint under sustained 429s."""
-        when = email.utils.formatdate(time.time() + 0.9, usegmt=True)
+        # formatdate truncates to whole seconds: date a whole-second
+        # instant at least one second ahead so the hint never rounds
+        # below the elapsed floor checked further down
+        when = email.utils.formatdate(math.floor(time.time()) + 2, usegmt=True)
         stub.script = [
             {"status": 429, "headers": {"Retry-After": when}},
             {"status": 200, "payload": "recovered"},
@@ -174,9 +178,8 @@ class Test429Path:
         started = time.monotonic()
         assert client.post("/plan", "req") == "recovered"
         elapsed = time.monotonic() - started
-        # formatdate has whole-second resolution, so the 0.9s hint may
-        # round down as far as ~0s from the second boundary; anything
-        # clearly above the 0.001s fallback proves the date was parsed
+        # anything clearly above the 0.001s fallback proves the date
+        # was parsed
         assert elapsed >= 0.2
         assert len(stub.attempts) == 2
 
