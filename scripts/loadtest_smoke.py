@@ -13,7 +13,9 @@ from outside the process:
 2. the coordinator's access log holds one parseable line per
    front-door request — every line round-trips through
    ``parse_access_line`` and the planning-endpoint line counts agree
-   with the loadtest's own books;
+   with the loadtest's own books, and clients kept their connections
+   alive: over the run the coordinator accepted at most one connection
+   per ten requests it counted;
 3. every sampled trace assembles *completely* from the client,
    coordinator, and worker span files — one trace per sampled op,
    no orphans — and every sampled access line's trace id appears in
@@ -36,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +47,16 @@ BANNER_RE = re.compile(r"cluster coordinator listening on (http://\S+)")
 LOADTEST_RPS = 40
 LOADTEST_DURATION_S = 5
 TRACE_SAMPLE = 5  # 1-in-5 ops carries a trace context
+#: most connections the coordinator may accept per request it counts
+MAX_CONNECTIONS_PER_REQUEST = 0.1
+
+
+def coordinator_totals(url: str) -> tuple:
+    """(connections accepted, requests counted) by the coordinator."""
+    with urllib.request.urlopen(f"{url}/metrics", timeout=30) as resp:
+        own = json.loads(resp.read())["coordinator"]
+    requests = sum(ep["count"] for ep in own["endpoints"].values())
+    return own["connections"]["accepted"], requests
 
 
 def client_env() -> dict:
@@ -95,6 +108,7 @@ def main() -> int:
                 raise SystemExit("no coordinator banner within 60s")
 
             # 1. the loadtest itself: 5s of traffic, strict verdict
+            accepted_before, requests_before = coordinator_totals(url)
             proc = subprocess.run(
                 [
                     sys.executable, "-m", "repro", "loadtest", url,
@@ -114,6 +128,7 @@ def main() -> int:
                     f"repro loadtest failed ({proc.returncode}):\n"
                     f"{proc.stdout}\n{proc.stderr}"
                 )
+            accepted_after, requests_after = coordinator_totals(url)
             report = json.loads(proc.stdout)
             assert report["verdict"] == "pass", report
             assert report["achieved_rps"] > 0, report
@@ -140,6 +155,15 @@ def main() -> int:
                     f"access log undercounts {check['endpoint']}: "
                     f"{logged} vs {check}"
                 )
+
+            # connection reuse: a client opening one connection per
+            # request would make these two deltas equal
+            accepted = accepted_after - accepted_before
+            counted = requests_after - requests_before
+            assert accepted <= MAX_CONNECTIONS_PER_REQUEST * counted, (
+                f"coordinator accepted {accepted} connections for "
+                f"{counted} requests"
+            )
 
             # 3. every sampled trace assembles completely across the
             # client, coordinator, and worker span files
@@ -202,6 +226,7 @@ def main() -> int:
                         "sent": report["sent"],
                         "p99_ms": report["p99_ms"],
                         "access_lines": len(lines),
+                        "coordinator_connections": accepted,
                         "traces_sampled": trace_report["sampled"],
                         "traces_complete": len(traces) - len(incomplete),
                     }

@@ -197,6 +197,7 @@ class ClusterCoordinator(FrontDoor):
     def _client(self, url: str) -> ServiceClient:
         """The cached envelope client for one worker.
 
+        Handler and dispatch threads share its connection pool.
         ``retries=1`` with a short wait: one quick transport retry
         absorbs a worker mid-restart, anything worse escalates to the
         reroute path (which has the whole pool to fall back on).
@@ -214,13 +215,13 @@ class ClusterCoordinator(FrontDoor):
 
     def _probe(self, url: str) -> bool:
         """One pull-heartbeat: does the worker answer ``/healthz``?"""
-        probe = ServiceClient(
+        with ServiceClient(
             url, timeout=max(1.0, self.heartbeat_interval), retries=0
-        )
-        try:
-            return probe.healthz().get("status") == "ok"
-        except Exception:
-            return False
+        ) as probe:
+            try:
+                return probe.healthz().get("status") == "ok"
+            except Exception:
+                return False
 
     # -- dispatch ---------------------------------------------------------
 
@@ -537,6 +538,10 @@ class ClusterCoordinator(FrontDoor):
 
     def _on_close(self) -> None:
         self.pool.stop_monitor()
+        with self._clients_lock:
+            clients = list(self._clients.values())
+        for client in clients:
+            client.close()
 
     def join(self, timeout: float | None = None) -> None:
         """Block until the accept loop stops (the CLI's foreground wait)."""

@@ -126,6 +126,12 @@ class _Worker:
     def alive(self) -> bool:
         return self.proc.poll() is None
 
+    def release(self) -> None:
+        """Join the drain thread and close the pipe (after the exit)."""
+        self._reader.join(timeout=5)
+        if self.proc.stdout is not None:
+            self.proc.stdout.close()
+
 
 class LocalCluster:
     """N local ``repro serve`` replicas behind one coordinator.
@@ -333,6 +339,7 @@ class LocalCluster:
             except subprocess.TimeoutExpired:
                 worker.proc.kill()
                 worker.proc.wait(timeout=5)
+            worker.release()
         if self.state_path:
             remove_state(self.state_path)
 

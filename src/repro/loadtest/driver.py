@@ -108,61 +108,63 @@ def _worker(
     trace_sample: Optional[int] = None,
     recorder: Optional[SpanRecorder] = None,
 ) -> None:
-    client = ServiceClient(
+    with ServiceClient(
         base_url,
         timeout=timeout,
         retries=0,
         wire_profile=profile,
         span_recorder=recorder,
-    )
-    # pin the negotiated profile so the thread's first planning call
-    # needs no /healthz round-trip inside the measured window
-    client.wire_profile()
-    start["barrier"].wait()  # type: ignore[attr-defined]
-    while True:
-        with cursor_lock:
-            index = cursor["next"]
-            cursor["next"] += 1
-        if index >= len(ops):
-            return
-        op = ops[index]
-        slot = start["t0"] + index / rps
-        wait = slot - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        tally.lags_s.append(max(0.0, time.monotonic() - slot))
-        endpoint = op.endpoint
-        tally.attempted[endpoint] = tally.attempted.get(endpoint, 0) + 1
-        # sampling keys on the stream index, not the thread: whichever
-        # thread pulls op N, the same deterministic 1-in-N slots trace
-        trace = (
-            start_trace()
-            if trace_sample is not None and index % trace_sample == 0
-            else None
-        )
-        began = time.perf_counter()
-        try:
-            status = _execute(client, op, trace)
-        except PlanServiceUnavailable:
-            status = STATUS_UNREACHABLE
-            tally.unavailable += 1
-            tally.unreachable[endpoint] = (
-                tally.unreachable.get(endpoint, 0) + 1
+    ) as client:
+        # pin the negotiated profile so the thread's first planning call
+        # needs no /healthz round-trip inside the measured window
+        client.wire_profile()
+        start["barrier"].wait()  # type: ignore[attr-defined]
+        while True:
+            with cursor_lock:
+                index = cursor["next"]
+                cursor["next"] += 1
+            if index >= len(ops):
+                return
+            op = ops[index]
+            slot = start["t0"] + index / rps
+            wait = slot - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            tally.lags_s.append(max(0.0, time.monotonic() - slot))
+            endpoint = op.endpoint
+            tally.attempted[endpoint] = tally.attempted.get(endpoint, 0) + 1
+            # sampling keys on the stream index, not the thread: whichever
+            # thread pulls op N, the same deterministic 1-in-N slots trace
+            trace = (
+                start_trace()
+                if trace_sample is not None and index % trace_sample == 0
+                else None
             )
-        except PlanServiceError as exc:
-            status = exc.code if exc.code is not None else STATUS_UNREACHABLE
-            if exc.code == 429:
-                tally.refused_429 += 1
-            elif exc.code is None:
-                # answered, but not with an HTTP status (wire-level
-                # refusal): budget it like any other answered error
-                tally.errors += 1
+            began = time.perf_counter()
+            try:
+                status = _execute(client, op, trace)
+            except PlanServiceUnavailable:
+                status = STATUS_UNREACHABLE
+                tally.unavailable += 1
+                tally.unreachable[endpoint] = (
+                    tally.unreachable.get(endpoint, 0) + 1
+                )
+            except PlanServiceError as exc:
+                status = (
+                    STATUS_UNREACHABLE if exc.code is None else exc.code
+                )
+                if exc.code == 429:
+                    tally.refused_429 += 1
+                elif exc.code is None:
+                    # answered, but not with an HTTP status (wire-level
+                    # refusal): budget it like any other answered error
+                    tally.errors += 1
+                else:
+                    tally.errors += 1
             else:
-                tally.errors += 1
-        else:
-            tally.ok += 1
-            tally.ok_weight += op.weight
-        metrics.observe(endpoint, status, time.perf_counter() - began)
+                tally.ok += 1
+                tally.ok_weight += op.weight
+            metrics.observe(endpoint, status, time.perf_counter() - began)
 
 
 def run_loadtest(
@@ -230,14 +232,13 @@ def run_loadtest(
 
     # resolve the wire profile once, outside the measured window; the
     # same resolved name is pinned into every worker's client
-    probe = ServiceClient(
+    with ServiceClient(
         base_url, timeout=timeout, retries=0, wire_profile=wire_profile
-    )
-    profile = probe.wire_profile()
-
-    before: Dict[str, Any] = {}
-    if check_server:
-        before = probe.get_json("/metrics")
+    ) as probe:
+        profile = probe.wire_profile()
+        before: Dict[str, Any] = (
+            probe.get_json("/metrics") if check_server else {}
+        )
 
     barrier = threading.Barrier(threads + 1)
     start: Dict[str, Any] = {"barrier": barrier, "t0": 0.0}
@@ -274,7 +275,8 @@ def run_loadtest(
 
     after: Dict[str, Any] = {}
     if check_server:
-        after = probe.get_json("/metrics")
+        with probe:
+            after = probe.get_json("/metrics")
 
     attempted: Dict[str, int] = {}
     unreachable: Dict[str, int] = {}

@@ -19,8 +19,9 @@ Two registered components let any existing planning path offload to a
   (``cache="tiered:http://HOST:PORT"``): hot keys are answered from
   RAM, the shared tier fills and serves everything else.
 
-Both ride :class:`ServiceClient`, a stdlib ``urllib`` HTTP client with
-a per-call timeout and bounded retry.  Two failure families retry, on
+Both ride :class:`ServiceClient`, a stdlib ``http.client`` client that
+keeps its HTTP/1.1 connections alive in a per-process pool, with a
+per-call timeout and bounded retry.  Two failure families retry, on
 different clocks, and nothing else does:
 
 * *transport* failures (connection refused, resets, timeouts) — the
@@ -47,13 +48,13 @@ from __future__ import annotations
 
 import datetime
 import email.utils
+import http.client
 import itertools
 import json
 import os
-import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Any, Callable, Hashable, Iterable, List, Optional, TypeVar
 
 from repro.core.backends import Backend
@@ -68,9 +69,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: transport errors worth retrying: the request may never have reached
-#: a healthy server (refused/reset/timeout); planning is pure, so a
-#: duplicate delivery is harmless
-_RETRYABLE = (urllib.error.URLError, ConnectionError, socket.timeout, TimeoutError)
+#: a healthy server (refused/reset/timeout, or a connection that died
+#: mid-response); planning is pure, so a duplicate delivery is harmless
+_RETRYABLE = (OSError, http.client.HTTPException)
 
 
 class PlanServiceError(RuntimeError):
@@ -141,6 +142,12 @@ class ServiceClient:
     ``client <path>`` span — the client-observed latency all
     server-side spans nest inside.  Untraced calls carry no header and
     pay nothing.
+
+    Connections: each call borrows an idle connection from a
+    per-process pool or opens one.  It goes back only after a response
+    read in full that did not ask to close; a transport failure closes
+    every idle one.  :meth:`close` (or ``with``) releases the pool.
+    ``http_proxy`` and friends are not consulted.
     """
 
     def __init__(
@@ -156,6 +163,14 @@ class ServiceClient:
         span_recorder: SpanRecorder | None = None,
     ) -> None:
         self.base_url = service_url(address)
+        scheme, self._netloc = urllib.parse.urlsplit(self.base_url)[:2]
+        self._connection_class = (
+            http.client.HTTPSConnection if scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._idle: List[http.client.HTTPConnection] = []
+        self._pool_lock = threading.Lock()
+        self._pool_pid = os.getpid()
         self.timeout = float(timeout)
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
@@ -227,6 +242,37 @@ class ServiceClient:
 
     # -- transport -------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle pooled connection, or a new one (it connects lazily)."""
+        pid = os.getpid()
+        if self._pool_pid != pid:
+            # a forked child: the parent's sockets are not ours to
+            # reuse, and the lock may have been held when it forked
+            stale, self._idle = self._idle, []
+            self._pool_lock, self._pool_pid = threading.Lock(), pid
+            for conn in stale:
+                conn.close()  # the child's copy of the fd only
+        with self._pool_lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._connection_class(self._netloc, timeout=self.timeout)
+
+    def close(self) -> None:
+        """Close every idle pooled connection (idempotent).
+
+        The client stays usable: a later call opens a new connection.
+        """
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def _request(
         self,
         path: str,
@@ -243,37 +289,49 @@ class ServiceClient:
             headers["Content-Type"] = content_type
         if trace is not None:
             headers[TRACE_HEADER] = trace.to_header()
+        method = "GET" if data is None else "POST"
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
-            request = urllib.request.Request(url, data=data, headers=headers)
+            conn = self._connection()
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    return resp.read()
-            except urllib.error.HTTPError as exc:
-                # the server answered.  429 means "full, come back" —
-                # wait the server's own hint (bounded) and retry within
-                # the same attempt budget; every other status is a
-                # protocol error, never retried
-                message = _error_message(exc)
-                if exc.code == 429 and attempt < self.retries:
-                    time.sleep(self._retry_after_delay(exc))
-                    last_error = exc
-                    continue
-                raise PlanServiceError(
-                    f"{url} -> HTTP {exc.code}: {message}", code=exc.code
-                ) from None
+                conn.request(method, path, data, headers)
+                resp = conn.getresponse()
+                body = resp.read()
             except _RETRYABLE as exc:
+                conn.close()
+                self.close()  # the rest of the pool is likely stale too
                 last_error = exc
                 if attempt < self.retries:
                     time.sleep(self.retry_wait * (attempt + 1))
+                continue
+            if resp.will_close:
+                conn.close()
+            else:
+                with self._pool_lock:
+                    self._idle.append(conn)
+            if 200 <= resp.status < 300:
+                return body
+            # the server answered.  429 means "full, come back" — wait
+            # the server's own hint (bounded) and retry within the same
+            # attempt budget; every other status is a protocol error,
+            # never retried
+            if resp.status == 429 and attempt < self.retries:
+                hint = resp.getheader("Retry-After")
+                time.sleep(self._retry_after_delay(hint))
+                continue
+            raise PlanServiceError(
+                f"{url} -> HTTP {resp.status}: "
+                f"{_error_message(body, resp.reason)}",
+                code=resp.status,
+            )
         # only transport errors fall through: the final attempt's
-        # HTTPError (429 included) raises inline above
+        # answer (429 included) raises inline above
         raise PlanServiceUnavailable(
             f"cannot reach plan server at {self.base_url} "
             f"after {self.retries + 1} attempt(s): {last_error}"
         ) from None
 
-    def _retry_after_delay(self, exc: urllib.error.HTTPError) -> float:
+    def _retry_after_delay(self, header: str | None) -> float:
         """The bounded wait a 429's ``Retry-After`` header asks for.
 
         RFC 7231 allows both forms — ``Retry-After: 2`` (delay
@@ -284,8 +342,7 @@ class ServiceClient:
         ``(0, retry_after_cap]`` so a server cannot make a client
         sleep forever (or not at all, which would spin).
         """
-        header = (exc.headers.get("Retry-After") or "").strip()
-        delay = _parse_retry_after(header)
+        delay = _parse_retry_after((header or "").strip())
         if delay is None:
             delay = self.retry_wait
         return min(max(delay, 0.01), self.retry_after_cap)
@@ -417,13 +474,13 @@ def _parse_retry_after(header: str) -> float | None:
     return max(0.0, (when - now).total_seconds())
 
 
-def _error_message(exc: urllib.error.HTTPError) -> str:
-    """The server's JSON ``error`` field, or the raw body on surprise."""
+def _error_message(body: bytes, reason: str) -> str:
+    """The server's JSON ``error`` field, else the HTTP reason phrase."""
+    text = body.decode("utf-8", errors="replace")
     try:
-        body = exc.read().decode("utf-8", errors="replace")
-        return json.loads(body).get("error", body.strip())
-    except Exception:
-        return exc.reason if isinstance(exc.reason, str) else str(exc.reason)
+        return json.loads(text).get("error", text.strip())
+    except (ValueError, AttributeError):
+        return reason
 
 
 #: the planners sessions route through backends; a remote backend ships
@@ -487,6 +544,9 @@ class RemoteBackend(Backend):
             )
         return self.client.plan_items(items)
 
+    def shutdown(self) -> None:
+        self.client.close()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RemoteBackend {self.client.base_url}>"
 
@@ -541,6 +601,9 @@ class HTTPPlanCache(BasePlanStore):
 
     def clear(self) -> None:
         self.client.cache_clear()
+
+    def close(self) -> None:
+        self.client.close()
 
     def __len__(self) -> int:
         from repro.service.server import stats_from_payload

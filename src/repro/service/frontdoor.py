@@ -35,12 +35,16 @@ What the handler guarantees for every route:
   when the gate is full, before any decoding or planning;
 * **errors** — client mistakes (bad envelope, unknown component, cache
   off) are 400, the server's own mappings come next, and anything else
-  is a 500 relaying the exception message.
+  is a 500 relaying the exception message;
+* **keep-alive** — with Nagle off, or the body write of each reply
+  would wait for the client's delayed ACK; a body the handler cannot
+  delimit ends its connection, so its bytes never become a request.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.parse
@@ -88,10 +92,39 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
     """Routes one connection's requests onto the owning :class:`FrontDoor`."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     @property
     def door(self) -> "FrontDoor":
         return self.server.door  # type: ignore[attr-defined]
+
+    # -- connection lifecycle (see FrontDoor.close) ------------------------
+
+    def setup(self) -> None:
+        super().setup()
+        self.door.metrics.connection_opened()
+        if not self.door._set_busy(self.connection, False):
+            _hang_up(self.connection)
+
+    def parse_request(self) -> bool:
+        # a request line arrived: close() spares this connection until
+        # the reply is out, unless the server is closing already
+        if not self.door._set_busy(self.connection, True):
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        if not self.door._set_busy(self.connection, False):
+            self.close_connection = True
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.door._forget(self.connection)
+            self.door.metrics.connection_closed()
 
     def log_message(self, format: str, *args: Any) -> None:
         # access logging goes through observe_request (--log), never
@@ -123,11 +156,8 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             self.headers.get(obs.TRACE_HEADER)
         )
         try:
-            if verb == "GET":
-                self._call(route, b"")
-                return
             body = self._body()
-            if route is not None and not route.wire:
+            if verb == "GET" or (route is not None and not route.wire):
                 self._call(route, body)
                 return
             self._profile = self._request_profile(body)
@@ -202,7 +232,18 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
     # -- request plumbing --------------------------------------------------
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body, read in full whatever the verb; one this
+        handler cannot delimit is a 400 that ends the connection."""
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise ValueError(
+                f"cannot delimit the request body (Content-Length {header!r})"
+            )
         return self.rfile.read(length) if length else b""
 
     def _json_body(self, body: bytes) -> dict:
@@ -283,6 +324,9 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
         )
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection or self.door._closing:
+            # tell the client not to pool this connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -317,6 +361,14 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
                 {"error": f"unknown metrics format {fmt!r}; "
                           "pick 'json' or 'prometheus'"},
             )
+
+
+def _hang_up(conn: socket.socket) -> None:
+    """End a connection: a handler blocked reading it sees EOF."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer is gone already
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -370,6 +422,10 @@ class FrontDoor:
         self.span_recorder = span_recorder
         #: queue-depth limit on the gated routes (None = unbounded)
         self.admission = AdmissionGate(max_inflight, retry_after)
+        #: open connection -> whether a request on it is being handled
+        self._connections: Dict[socket.socket, bool] = {}
+        self._connections_lock = threading.Lock()
+        self._closing = False
 
     def _listen(self, host: str, port: int) -> None:
         self.routes: Dict[str, Route] = self.route_table()
@@ -482,6 +538,26 @@ class FrontDoor:
                 wire=profile, nbytes=nbytes, trace=trace,
             )
 
+    # -- connections -------------------------------------------------------
+
+    def _set_busy(self, conn: socket.socket, busy: bool) -> bool:
+        """Record whether ``conn`` is mid-request; False once closing."""
+        with self._connections_lock:
+            self._connections[conn] = busy
+            return not self._closing
+
+    def _forget(self, conn: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.pop(conn, None)
+
+    def _end_connections(self) -> None:
+        """Hang up idle connections; busy ones end after their reply."""
+        with self._connections_lock:
+            self._closing = True
+            idle = [c for c, busy in self._connections.items() if not busy]
+        for conn in idle:
+            _hang_up(conn)
+
     # -- lifecycle ---------------------------------------------------------
 
     @property
@@ -512,7 +588,11 @@ class FrontDoor:
         self._http.serve_forever()
 
     def close(self) -> None:
-        """Stop accepting, release the socket and the server (idempotent)."""
+        """Stop serving and release the server (idempotent).
+
+        Nothing is answered after close: a reply in progress finishes,
+        then every kept-alive connection is hung up.
+        """
         if self._closed:
             return
         self._closed = True
@@ -520,6 +600,7 @@ class FrontDoor:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self._end_connections()
         self._http.server_close()
         self._on_close()
         if self.access_log is not None:

@@ -121,12 +121,15 @@ class ServerMetrics:
     ``payload()`` renders the JSON the ``/metrics`` endpoint serves.
     Endpoint names should come from a fixed route table (the handlers
     normalise unknown paths to ``"other"``) so cardinality stays
-    bounded whatever clients probe.
+    bounded whatever clients probe.  ``connection_opened`` /
+    ``connection_closed`` count client connections, so the payload's
+    ``connections`` field shows how well clients reuse them.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._endpoints: Dict[str, _EndpointCounters] = {}
+        self._connections = {"accepted": 0, "open": 0}
         # monotonic, not wall-clock: an NTP step must never make
         # uptime_s jump or go negative (it feeds `repro cluster
         # status` and the loadtest cross-checks)
@@ -138,6 +141,15 @@ class ServerMetrics:
             if counters is None:
                 counters = self._endpoints[endpoint] = _EndpointCounters()
             counters.observe(int(status), float(elapsed_s))
+
+    def connection_opened(self) -> None:
+        with self._lock:
+            self._connections["accepted"] += 1
+            self._connections["open"] += 1
+
+    def connection_closed(self) -> None:
+        with self._lock:
+            self._connections["open"] -= 1
 
     def payload(self) -> Dict[str, Any]:
         """The ``/metrics`` JSON: per-endpoint raw + derived counters."""
@@ -154,26 +166,29 @@ class ServerMetrics:
                 )
                 for name, c in sorted(self._endpoints.items())
             }
+            connections = dict(self._connections)
             started = self._started
         return {
             "uptime_s": round(time.monotonic() - started, 3),
             "latency_buckets_s": list(LATENCY_BUCKETS_S),
             "endpoints": endpoints,
+            "connections": connections,
         }
 
 
 def merge_metrics(payloads: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     """Sum several ``/metrics`` payloads into one aggregate view.
 
-    Counters and histogram buckets add; the exact max is the max of
-    maxima; mean/p50/p99 are re-derived from the merged raw counters —
-    so a coordinator's cluster-wide histogram is exactly what one
-    server observing all the traffic would have reported (percentile
-    resolution bounded by the shared bucket grid).  Payloads from
-    servers with different bucket grids are rejected loudly rather
-    than summed wrongly.
+    Counters, histogram buckets and connection counts add; the exact
+    max is the max of maxima; mean/p50/p99 are re-derived from the
+    merged raw counters — so a coordinator's cluster-wide histogram is
+    exactly what one server observing all the traffic would have
+    reported (percentile resolution bounded by the shared bucket grid).
+    Payloads from servers with different bucket grids are rejected
+    loudly rather than summed wrongly.
     """
     merged: Dict[str, Dict[str, Any]] = {}
+    connections = {"accepted": 0, "open": 0}
     uptime = 0.0
     for payload in payloads:
         grid = list(payload.get("latency_buckets_s", LATENCY_BUCKETS_S))
@@ -183,6 +198,9 @@ def merge_metrics(payloads: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
                 f"latency bucket grid: {grid!r}"
             )
         uptime = max(uptime, float(payload.get("uptime_s", 0.0)))
+        reported = payload.get("connections", {})
+        for field in connections:
+            connections[field] += int(reported.get(field, 0))
         for name, ep in payload.get("endpoints", {}).items():
             agg = merged.get(name)
             if agg is None:
@@ -207,6 +225,7 @@ def merge_metrics(payloads: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
         "endpoints": {
             name: _derived(raw) for name, raw in sorted(merged.items())
         },
+        "connections": connections,
     }
 
 
@@ -225,7 +244,9 @@ def prometheus_exposition(payload: Mapping[str, Any]) -> str:
       (our buckets are disjoint internally; Prometheus buckets are
       "everything ≤ bound"), the overflow bucket becomes ``le="+Inf"``,
       plus ``_sum`` and ``_count``;
-    * ``repro_uptime_seconds`` — a gauge.
+    * ``repro_uptime_seconds`` — a gauge;
+    * ``repro_connections_accepted_total`` / ``repro_connections_open``
+      — client connections accepted (a counter) and open now (a gauge).
 
     Works on any payload shaped like :meth:`ServerMetrics.payload`,
     including :func:`merge_metrics` output — the coordinator exposes
@@ -234,10 +255,17 @@ def prometheus_exposition(payload: Mapping[str, Any]) -> str:
     bounds = [float(b) for b in payload.get(
         "latency_buckets_s", LATENCY_BUCKETS_S
     )]
+    connections = payload.get("connections", {})
     lines = [
         "# HELP repro_uptime_seconds Seconds since the server started.",
         "# TYPE repro_uptime_seconds gauge",
         f"repro_uptime_seconds {float(payload.get('uptime_s', 0.0))}",
+        "# HELP repro_connections_accepted_total Connections accepted.",
+        "# TYPE repro_connections_accepted_total counter",
+        f"repro_connections_accepted_total {connections.get('accepted', 0)}",
+        "# HELP repro_connections_open Connections open now.",
+        "# TYPE repro_connections_open gauge",
+        f"repro_connections_open {connections.get('open', 0)}",
         "# HELP repro_requests_total Requests handled, by endpoint.",
         "# TYPE repro_requests_total counter",
     ]

@@ -114,10 +114,12 @@ class TestLocalCluster:
                     break
                 time.sleep(0.1)
             assert alive == 1
-        # teardown removed the state file and reaped the workers
+        # teardown removed the state file and reaped the workers,
+        # closing the pipes their output drained through
         with pytest.raises(FileNotFoundError):
             read_state(state_path)
         assert all(not w.alive() for w in cluster.workers)
+        assert all(w.proc.stdout.closed for w in cluster.workers)
 
     def test_startup_failure_reports_worker_output(self, tmp_path):
         cluster = LocalCluster(

@@ -5,6 +5,8 @@ request count matches the target's own ``/metrics`` count *exactly*,
 for a single plan server and for a cluster coordinator front door.
 """
 
+import time
+
 import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator
@@ -113,6 +115,19 @@ class TestAgainstPlanServer:
         assert report.ok == 0
         assert report.server_check_ok  # expected = sent - unreachable = 0
         assert not report.passed  # but the error budget is blown
+
+    def test_no_client_connection_left_open(self):
+        with PlanServer(port=0, cache="memory") as fresh:
+            run_loadtest(fresh.url, rps=40, duration=0.5, threads=2, seed=3)
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                if fresh.metrics.payload()["connections"]["open"] == 0:
+                    break
+                time.sleep(0.01)
+            connections = fresh.metrics.payload()["connections"]
+        assert connections["open"] == 0
+        # one per load thread, one per probe snapshot: none per request
+        assert connections["accepted"] == 2 + 2
 
     def test_bad_arguments(self, server):
         with pytest.raises(ValueError):

@@ -10,13 +10,19 @@ workers, pins what a client sees whichever of the two answers it:
 * ``/metrics`` speaks JSON and Prometheus and 400s any other format;
 * an admission limit of zero answers 429 with ``Retry-After``;
 * every response advertises the accepted wire profiles;
-* a request is visible in ``/metrics`` once its client holds the answer.
+* a request is visible in ``/metrics`` once its client holds the answer;
+* after ``close()`` nothing is answered, not even on a kept-alive
+  connection a client already holds;
+* a request body the server cannot delimit ends the connection, so its
+  bytes are never parsed as a next request.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import re
+import socket
 import urllib.error
 import urllib.request
 
@@ -27,6 +33,7 @@ from repro.core.pipeline import PlanRequest
 from repro.loadtest.report import frontdoor_metrics
 from repro.platform.star import StarPlatform
 from repro.service import wire
+from repro.service.client import PlanServiceUnavailable, ServiceClient
 from repro.service.server import PlanServer
 
 KINDS = ("server", "coordinator")
@@ -215,3 +222,66 @@ class TestObserveBeforeWrite:
             # request can have nudged the counter first
             counts = front.metrics.payload()["endpoints"]
             assert counts["/plan"]["count"] == expected
+
+
+class TestClose:
+    def test_idle_pooled_connection_is_not_answered(self, make_front):
+        front = make_front()
+        client = ServiceClient(front.url, retries=1, retry_wait=0.01)
+        assert client.healthz()["status"] == "ok"  # now pooled, idle
+        front.close()
+        with pytest.raises(PlanServiceUnavailable):
+            client.healthz()
+        client.close()
+
+
+#: a request hidden in a body; answering it would 404 naming its path
+SMUGGLED = b"GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n"
+VALID = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+
+
+class TestNoDesync:
+    @pytest.mark.parametrize(
+        "head, first_status",
+        [
+            (
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(SMUGGLED),
+                b"200",
+            ),
+            (
+                b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -5\r\n\r\n",
+                b"400",
+            ),
+            (
+                b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 12abc\r\n\r\n",
+                b"400",
+            ),
+            (
+                b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n",
+                b"400",
+            ),
+        ],
+        ids=[
+            "get-with-body", "negative-length", "unparsable-length",
+            "transfer-encoding",
+        ],
+    )
+    def test_leftover_body_is_never_a_request(
+        self, make_front, head, first_status
+    ):
+        front = make_front()
+        with socket.create_connection((front.host, front.port), 10) as sock:
+            sock.sendall(head + SMUGGLED + VALID)
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        statuses = re.findall(rb"^HTTP/1\.1 (\d{3})", data, re.M)
+        assert statuses[0] == first_status
+        # the valid request is answered correctly or not at all
+        assert statuses[1:] in ([], [b"200"])
+        assert b"/smuggled" not in data
+        assert "other" not in own_endpoints(front)

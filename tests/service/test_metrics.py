@@ -89,6 +89,14 @@ class TestServerMetrics:
         )
         assert metrics.payload()["uptime_s"] >= 12.0
 
+    def test_connection_counters(self):
+        metrics = ServerMetrics()
+        assert metrics.payload()["connections"] == {"accepted": 0, "open": 0}
+        metrics.connection_opened()
+        metrics.connection_opened()
+        metrics.connection_closed()
+        assert metrics.payload()["connections"] == {"accepted": 2, "open": 1}
+
     def test_thread_safety_smoke(self):
         import threading
 
@@ -138,6 +146,17 @@ class TestMergeMetrics:
         b.observe("/cache/get", 200, 0.001)
         merged = merge_metrics([a.payload(), b.payload()])
         assert set(merged["endpoints"]) == {"/plan", "/cache/get"}
+
+    def test_connections_sum(self):
+        a, b = ServerMetrics(), ServerMetrics()
+        a.connection_opened()
+        b.connection_opened()
+        b.connection_opened()
+        b.connection_closed()
+        # a payload without the field (an older server) adds nothing
+        legacy = {"endpoints": {}}
+        merged = merge_metrics([a.payload(), b.payload(), legacy])
+        assert merged["connections"] == {"accepted": 3, "open": 2}
 
     def test_foreign_bucket_grid_rejected(self):
         payload = ServerMetrics().payload()
@@ -206,6 +225,17 @@ class TestPrometheusExposition:
             merge_metrics([a.payload(), b.payload()])
         )
         assert 'repro_requests_total{endpoint="/plan"} 2' in text
+
+    def test_connection_series(self):
+        metrics = ServerMetrics()
+        for _ in range(3):
+            metrics.connection_opened()
+        metrics.connection_closed()
+        text = prometheus_exposition(metrics.payload())
+        assert "# TYPE repro_connections_accepted_total counter" in text
+        assert "repro_connections_accepted_total 3\n" in text
+        assert "# TYPE repro_connections_open gauge" in text
+        assert "repro_connections_open 2\n" in text
 
     def test_empty_payload_renders_headers_only(self):
         text = prometheus_exposition(ServerMetrics().payload())
