@@ -63,7 +63,6 @@ def test_loadtest_sustained_throughput():
                 "p50_ms": report.p50_ms,
                 "p99_ms": report.p99_ms,
                 "schedule_lag_p99_ms": round(report.schedule_lag_p99_ms, 1),
-                "wire": report.wire_profile,
             }
         )
     )

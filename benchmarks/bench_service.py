@@ -12,12 +12,13 @@ Two questions the service tentpole must answer with numbers:
   shared store, the second must be served from it and finish faster
   having planned nothing.
 
-A third question joined with the binary wire profile:
+A third question joined with the binary wire:
 
-* **wire profile throughput** — the same batch shipped pickle-v1 vs
-  binary-v2 against one server; the binary leg must beat the
-  *committed* pickle-era baseline in ``BENCH_service.json`` by ≥5×
-  (the acceptance bar for the zero-copy wire + batched kernels).
+* **wire profile throughput** — the same batch shipped as scalar
+  requests and as one vector group over binary-v2 against one server;
+  the vector leg must beat the *committed* pickle-era baseline in
+  ``BENCH_service.json`` by ≥5× (the acceptance bar for the zero-copy
+  wire + batched kernels).
 
 All emit ``BENCH {...}`` JSON lines for CI trend tracking, like the
 batch-planning and plan-store benchmarks; ``scripts/check_bench.py``
@@ -117,37 +118,36 @@ def test_remote_batch_throughput():
 def test_wire_profile_throughput():
     """The raw-speed acceptance bar for the binary wire + batched kernels.
 
-    Leg A ships individual scalar requests over the pickle profile (the
-    shape of every pre-binary client); leg B ships one vector group
-    over binary-v2.  Both must return identical plans, and leg B's
-    throughput must clear 5x the pickle-v1-era remote throughput
-    committed in ``BENCH_service.json`` — the 281 req/s the service
-    managed before this pass (the gain compounds the zero-copy wire,
-    the batched partition kernels, and lazy partitions, so a same-run
-    A/B alone cannot reproduce the old code's cost).
+    Leg A ships the 48 requests as individual scalar items; leg B ships
+    them as one vector group.  Both travel over binary-v2, the only wire
+    format, must return identical plans, and leg B's throughput must
+    clear 5x the pickle-v1-era remote throughput committed in
+    ``BENCH_service.json`` — the 281 req/s the service managed before
+    the binary wire (the gain compounds the zero-copy wire, the batched
+    partition kernels, and lazy partitions, so a same-run A/B alone
+    cannot reproduce the old code's cost).
     """
     from repro.core.pipeline import plan_request
     from repro.core.vectorize import VectorGroup, plan_work_item
-    from repro.service import wire
     from repro.service.client import RemoteBackend
 
     requests = _requests()
     group = VectorGroup(strategy="het", requests=tuple(requests))
     with PlanServer(port=0, backend="serial", cache=False) as server:
-        pickled = RemoteBackend(server.url, wire_profile=wire.PROFILE_PICKLE)
-        v1_results = pickled.map(plan_request, requests)
-        v1_s = min(
-            _timed(lambda: pickled.map(plan_request, requests))
+        binary = RemoteBackend(server.url)
+        scalar_results = binary.map(plan_request, requests)
+        scalar_s = min(
+            _timed(lambda: binary.map(plan_request, requests))
             for _ in range(3)
         )
-        binary = RemoteBackend(server.url, wire_profile=wire.PROFILE_BINARY)
         (v2_results,) = binary.map(plan_work_item, [group])
         v2_s = min(
             _timed(lambda: binary.map(plan_work_item, [group]))
             for _ in range(3)
         )
+        binary.shutdown()
 
-    for a, b in zip(v1_results, v2_results):
+    for a, b in zip(scalar_results, v2_results):
         assert a.request == b.request
         assert np.isclose(a.comm_volume, b.comm_volume, rtol=1e-12)
         np.testing.assert_array_equal(
@@ -164,9 +164,9 @@ def test_wire_profile_throughput():
             {
                 "name": "service_wire_profile_throughput",
                 "requests": len(requests),
-                "pickle_scalar_s": round(v1_s, 4),
+                "scalar_s": round(scalar_s, 4),
                 "binary_batched_s": round(v2_s, 4),
-                "pickle_scalar_req_per_s": round(len(requests) / v1_s, 1),
+                "scalar_req_per_s": round(len(requests) / scalar_s, 1),
                 "v2_req_per_s": round(v2_req_per_s, 1),
                 "v2_vs_committed_pickle_x": round(gain, 2),
             }

@@ -10,7 +10,9 @@ benchmark's key metric against the newest committed history entry:
 * ``higher_is_better`` metrics regress when
   ``fresh < committed * tolerance``;
 * lower-is-better metrics regress when
-  ``fresh > committed / tolerance``.
+  ``fresh > committed / tolerance``;
+* a committed benchmark the run printed no BENCH line for fails too:
+  a benchmark that crashed before printing measured nothing.
 
 ``tolerance`` defaults to the baseline file's own value (0.5 committed
 — generous, because CI machines vary) and ``--tolerance`` overrides
@@ -25,7 +27,8 @@ Usage::
     python scripts/check_bench.py BENCH_service.json /tmp/bench.log \\
         --update --run "2026-08-08 wire v2"
 
-Exits 1 on any regression, 2 on a run that produced no BENCH lines.
+Exits 1 on any regression or missing benchmark, 2 on a run that
+produced no BENCH lines at all.
 """
 
 from __future__ import annotations
@@ -56,15 +59,20 @@ def parse_bench_lines(text: str) -> dict[str, dict]:
 def check(
     baseline: dict, fresh: dict[str, dict], tolerance: float | None
 ) -> int:
-    """Print a comparison table; return the number of regressions."""
+    """Print a comparison table; return the number of failures.
+
+    A failure is a regression or a committed benchmark with no fresh
+    BENCH line.
+    """
     tol = tolerance if tolerance is not None else baseline.get("tolerance", 0.5)
-    regressions = 0
+    failures = 0
     for name, spec in baseline["benchmarks"].items():
         metric = spec["metric"]
         higher = spec.get("higher_is_better", True)
         history = spec["history"]
         if name not in fresh:
-            print(f"  {name}: NOT RUN (no BENCH line)")
+            print(f"  {name}: NOT RUN (no BENCH line) FAILED")
+            failures += 1
             continue
         if not history:
             print(f"  {name}: no committed history — {metric}="
@@ -81,14 +89,14 @@ def check(
             bad = value > ceiling
             bound = f"<= {ceiling:.4g}"
         verdict = "REGRESSION" if bad else "ok"
-        regressions += bad
+        failures += bad
         print(
             f"  {name}: {metric} committed={committed:.4g} "
             f"fresh={value:.4g} (allowed {bound}) {verdict}"
         )
     for name in sorted(set(fresh) - set(baseline["benchmarks"])):
         print(f"  {name}: new benchmark, not in baseline (add with --update)")
-    return regressions
+    return failures
 
 
 def update(baseline: dict, fresh: dict[str, dict], run_label: str) -> None:
@@ -168,9 +176,12 @@ def main() -> int:
         return 0
 
     print(f"checking against {baseline_path}:")
-    regressions = check(baseline, fresh, args.tolerance)
-    if regressions:
-        print(f"{regressions} benchmark regression(s)", file=sys.stderr)
+    failures = check(baseline, fresh, args.tolerance)
+    if failures:
+        print(
+            f"{failures} benchmark regression(s) or missing run(s)",
+            file=sys.stderr,
+        )
         return 1
     print("benchmarks within tolerance")
     return 0

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""CI smoke for cluster mode: up -n 3 → both wires → kill → reroute.
+"""CI smoke for cluster mode: up -n 3 → two clients → kill → reroute.
 
 Boots ``repro cluster up -n 3`` on an ephemeral port, then asserts the
 whole operability story end to end, from outside the process:
 
 1. the coordinator fronts the pool — ``/healthz`` reports 3 alive
-   workers and both wire profiles;
-2. the same Figure-4 panel rendered through the coordinator is
-   identical over ``REPRO_WIRE=pickle-v1`` and ``binary-v2`` (the
-   front door speaks both wire profiles transparently);
+   workers and ``["binary-v2"]`` as the one wire profile — and answers
+   a pickle-v1 body whose unpickling would create a marker file with a
+   400 on every envelope route, the marker never existing;
+2. the same Figure-4 panel rendered through the coordinator by two
+   separate binary-v2 client processes is identical;
 3. SIGKILL-ing one worker (pid from the state file) is invisible to
    the next client — the panel still renders identically, and
    ``/cluster/status`` settles at 2 alive workers;
@@ -28,12 +29,14 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -59,15 +62,12 @@ def client_env() -> dict:
     return env
 
 
-def run_cli(args: list[str], wire_profile: str | None = None) -> str:
-    env = client_env()
-    if wire_profile:
-        env["REPRO_WIRE"] = wire_profile
+def run_cli(args: list[str]) -> str:
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=client_env(),
         timeout=300,
     )
     if proc.returncode != 0:
@@ -76,6 +76,30 @@ def run_cli(args: list[str], wire_profile: str | None = None) -> str:
             f"{proc.stdout}\n{proc.stderr}"
         )
     return proc.stdout
+
+
+class Marker:
+    """Unpickling this creates the marker file (a stand-in for harm)."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def assert_pickle_refused(url: str, marker: Path) -> None:
+    """Every envelope route answers a pickle-v1 body 400, unpickled."""
+    body = b"repro-plan-wire:v1\n" + pickle.dumps(Marker(str(marker)))
+    for route in ("/plan", "/plan_batch", "/cache/get", "/cache/put"):
+        request = urllib.request.Request(f"{url}{route}", data=body)
+        try:
+            urllib.request.urlopen(request, timeout=10)
+        except urllib.error.HTTPError as err:
+            assert err.code == 400, f"{route} answered a pickle {err.code}"
+        else:
+            raise SystemExit(f"{route} accepted a pickle-v1 body")
+    assert not marker.exists(), "a pickle-v1 body was unpickled"
 
 
 def get_json(url: str) -> dict:
@@ -139,22 +163,23 @@ def main() -> int:
                 raise SystemExit("no coordinator banner within 60s")
             address = url.removeprefix("http://")
 
-            # 1. front door fronts a live pool and speaks both wires
+            # 1. front door fronts a live pool and speaks binary-v2 only
             health = get_json(f"{url}/healthz")
             assert health["role"] == "coordinator", health
             assert health["workers_alive"] == 3, health
-            assert health["wire_profiles"] == ["binary-v2", "pickle-v1"], (
-                f"coordinator must advertise both wire profiles: {health}"
+            assert health["wire_profiles"] == ["binary-v2"], (
+                f"coordinator must advertise binary-v2 only: {health}"
             )
+            assert_pickle_refused(url, Path(tmp) / "unpickled")
             state = json.loads(state_path.read_text())
             assert len(state["workers"]) == 3, state
 
-            # 2. same panel through both wire profiles
+            # 2. same panel from two separate client processes
             remote = PANEL_ARGS + ["--backend", f"remote:{address}"]
-            panel_pickle = run_cli(remote, wire_profile="pickle-v1")
-            panel_binary = run_cli(remote, wire_profile="binary-v2")
-            assert panel_pickle == panel_binary, (
-                "panels differ between wire profiles"
+            panel_first = run_cli(remote)
+            panel_second = run_cli(remote)
+            assert panel_first == panel_second, (
+                "panels differ between client processes"
             )
 
             # 3. SIGKILL one worker; the next client must not notice
@@ -163,8 +188,8 @@ def main() -> int:
             # the /cluster/status settle below proves the kill landed)
             victim = state["workers"][0]["pid"]
             os.kill(victim, signal.SIGKILL)
-            panel_after_kill = run_cli(remote, wire_profile="binary-v2")
-            assert panel_after_kill == panel_binary, (
+            panel_after_kill = run_cli(remote)
+            assert panel_after_kill == panel_first, (
                 "panel changed after a worker was killed"
             )
             alive = wait_for(

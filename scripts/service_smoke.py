@@ -4,15 +4,15 @@
 Boots ``repro serve`` on an ephemeral port with a durable (sqlite)
 store, runs the same small Figure-4 panel from two *separate client
 processes* with ``--backend remote:HOST:PORT`` and no local cache —
-one client per wire profile (``REPRO_WIRE=pickle-v1`` then
-``REPRO_WIRE=binary-v2``) — and then asserts:
+both speaking binary-v2, the only wire format — and then asserts:
 
-1. the two panels render identically (remote planning is
-   deterministic regardless of the envelope profile on the wire);
-2. ``/cache/stats`` reports disk hits — the binary-v2 client was
-   served from the store the pickle-v1 client warmed, so cache
-   entries are profile-agnostic;
-3. ``/healthz`` advertises both wire profiles for the handshake.
+1. ``/healthz`` advertises ``["binary-v2"]`` as the one wire profile;
+2. a pickle-v1 body whose unpickling would create a marker file is
+   answered 400 on every envelope route, and the marker never exists;
+3. the two panels render identically (remote planning is
+   deterministic);
+4. ``/cache/stats`` shows the second client served entirely as sqlite
+   disk hits from the store the first client warmed: hits, no misses.
 
 Exits non-zero on any failure; prints a BENCH-style JSON line with the
 observed hit counts so CI logs are grep-able.
@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -53,15 +55,12 @@ def client_env() -> dict:
     return env
 
 
-def run_cli(args: list[str], wire_profile: str | None = None) -> str:
-    env = client_env()
-    if wire_profile:
-        env["REPRO_WIRE"] = wire_profile
+def run_cli(args: list[str]) -> str:
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=client_env(),
         timeout=300,
     )
     if proc.returncode != 0:
@@ -70,6 +69,30 @@ def run_cli(args: list[str], wire_profile: str | None = None) -> str:
             f"{proc.stdout}\n{proc.stderr}"
         )
     return proc.stdout
+
+
+class Marker:
+    """Unpickling this creates the marker file (a stand-in for harm)."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def assert_pickle_refused(url: str, marker: Path) -> None:
+    """Every envelope route answers a pickle-v1 body 400, unpickled."""
+    body = b"repro-plan-wire:v1\n" + pickle.dumps(Marker(str(marker)))
+    for route in ("/plan", "/plan_batch", "/cache/get", "/cache/put"):
+        request = urllib.request.Request(f"{url}{route}", data=body)
+        try:
+            urllib.request.urlopen(request, timeout=10)
+        except urllib.error.HTTPError as err:
+            assert err.code == 400, f"{route} answered a pickle {err.code}"
+        else:
+            raise SystemExit(f"{route} accepted a pickle-v1 body")
+    assert not marker.exists(), "a pickle-v1 body was unpickled"
 
 
 def main() -> int:
@@ -103,27 +126,30 @@ def main() -> int:
                 urllib.request.urlopen(f"{url}/healthz", timeout=10).read()
             )
             assert health["status"] == "ok", health
-            assert health["wire_profiles"] == ["binary-v2", "pickle-v1"], (
-                f"healthz must advertise both wire profiles: {health}"
+            assert health["wire_profiles"] == ["binary-v2"], (
+                f"healthz must advertise binary-v2 only: {health}"
             )
+            assert_pickle_refused(url, Path(tmp) / "unpickled")
 
             remote = PANEL_ARGS + ["--backend", f"remote:{address}"]
-            first = run_cli(remote, wire_profile="pickle-v1")
+            first = run_cli(remote)
             stats_after_first = json.loads(
                 urllib.request.urlopen(f"{url}/cache/stats", timeout=10).read()
             )
-            second = run_cli(remote, wire_profile="binary-v2")
+            second = run_cli(remote)
             stats = json.loads(
                 urllib.request.urlopen(f"{url}/cache/stats", timeout=10).read()
             )
 
-            assert first == second, (
-                "remote panels differ between wire profiles"
-            )
+            assert first == second, "remote panels differ between clients"
             disk_hits = stats["hits"] - stats_after_first["hits"]
+            second_misses = stats["misses"] - stats_after_first["misses"]
             assert stats["entries"] > 0, stats
             assert disk_hits > 0, (
                 f"second client produced no shared-store hits: {stats}"
+            )
+            assert second_misses == 0, (
+                f"second client was not served from the warmed store: {stats}"
             )
             print(
                 "BENCH "

@@ -360,7 +360,7 @@ def _cmd_cache_group(args: argparse.Namespace) -> int:
     try:
         store = SQLitePlanCache(path)
     except sqlite3.DatabaseError as exc:
-        # e.g. pointing `stats` at an export pickle instead of the db
+        # e.g. pointing `stats` at an export file instead of the db
         print(f"error: {path} is not a plan cache ({exc})", file=sys.stderr)
         return 2
     try:
@@ -406,15 +406,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=_cache_arg(args),
         vectorize=args.vectorize,
-        wire_mode=args.wire,
         max_inflight=args.max_inflight,
         access_log=_access_log_from_arg(args),
         span_recorder=_span_recorder_from_arg(args, "server"),
     )
     print(f"repro plan server listening on {server.url}", flush=True)
     print(
-        f"  backend={args.backend!r} cache={server.cache_spec!r} "
-        f"wire={args.wire!r} ({', '.join(server.wire_profiles)}) — "
+        f"  backend={args.backend!r} cache={server.cache_spec!r} — "
         "endpoints: /plan /plan_batch /cache/get /cache/put "
         "/cache/stats /healthz",
         flush=True,
@@ -448,7 +446,6 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=None if args.no_cache else (args.cache or "memory"),
         vectorize=args.vectorize,
-        wire=args.wire,
         dispatch=args.dispatch,
         max_inflight=args.max_inflight,
         worker_max_inflight=args.worker_max_inflight,
@@ -573,7 +570,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         mix=parse_mix(args.mix) if args.mix else None,
         seed=args.seed,
         threads=args.threads,
-        wire_profile=args.wire_profile,
         timeout=args.timeout,
         error_budget=args.error_budget,
         batch_size=args.batch_size,
@@ -841,7 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
     c_export.add_argument("path", help="cache file (or sqlite:PATH spec)")
     c_export.add_argument("output", help="destination export file")
     c_import = cache_sub.add_parser(
-        "import", help="merge an exported file into a cache"
+        "import",
+        help="merge an exported file into a cache (exports written "
+        "before binary-v2 was the only format are refused)",
     )
     c_import.add_argument("path", help="cache file (or sqlite:PATH spec)")
     c_import.add_argument("input", help="export file to merge in")
@@ -862,13 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8640,
         help="TCP port (0 binds an ephemeral port; default: 8640)",
-    )
-    psv.add_argument(
-        "--wire",
-        choices=("auto", "safe"),
-        default="auto",
-        help="wire profiles to accept: 'auto' speaks binary-v2 and legacy "
-        "pickle-v1; 'safe' refuses pickle entirely (binary-v2 only)",
     )
     psv.add_argument(
         "--max-inflight",
@@ -935,12 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
             "or consistent-hash[:REPLICAS] for per-worker cache "
             "affinity (default: least-loaded)"
         ),
-    )
-    cl_up.add_argument(
-        "--wire",
-        choices=("auto", "safe"),
-        default="auto",
-        help="wire profiles coordinator and workers accept",
     )
     cl_up.add_argument(
         "--max-inflight",
@@ -1035,12 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=8,
         help="requests per plan_batch operation (default: 8)",
-    )
-    plt.add_argument(
-        "--wire-profile",
-        choices=("auto", "pickle-v1", "binary-v2"),
-        default=None,
-        help="envelope profile to drive (default: REPRO_WIRE or auto)",
     )
     plt.add_argument(
         "--timeout",

@@ -3,7 +3,7 @@
 A single ``repro serve`` process is the throughput ceiling of the
 service layer; this subsystem removes it without changing a single
 client.  A :class:`~repro.cluster.coordinator.ClusterCoordinator`
-listens on one address, speaks the exact v1/v2 wire protocol of
+listens on one address, speaks the exact binary-v2 wire protocol of
 :class:`~repro.service.server.PlanServer`, and fans requests out to a
 pool of ordinary worker replicas:
 

@@ -1,8 +1,8 @@
 """The cluster front door: one address fanning out to N plan servers.
 
 :class:`ClusterCoordinator` is wire-compatible with a single
-:class:`~repro.service.server.PlanServer` — same endpoints, same v1/v2
-envelope profiles, same JSON control surface — so every existing
+:class:`~repro.service.server.PlanServer` — same endpoints, same
+binary-v2 envelopes, same JSON control surface — so every existing
 client (``backend="remote:HOST:PORT"``, ``cache="http://HOST:PORT"``,
 ``repro figure4 --backend remote:...``) scales out by pointing at the
 coordinator instead of a worker.  What it adds:
@@ -27,8 +27,8 @@ to an undisturbed run.  An *answered* worker error (a 400/500 with a
 message) is relayed to the client unchanged: the worker is alive and
 retrying elsewhere would mask a real bug.
 
-*Operability.*  Admission (429 + Retry-After), wire modes, access logs
-and tracing come with the shared front door
+*Operability.*  Admission (429 + Retry-After), access logs and tracing
+come with the shared front door
 (:mod:`repro.service.frontdoor`); ``/metrics`` adds aggregation: the
 coordinator serves its own counters plus every worker's, merged
 bucket-by-bucket into one cluster-wide histogram.
@@ -117,7 +117,6 @@ class ClusterCoordinator(FrontDoor):
         *,
         workers: Sequence[str] = (),
         dispatch: "str | DispatchPolicy" = "least-loaded",
-        wire_mode: str = "auto",
         max_inflight: int | None = None,
         retry_after: float = 0.5,
         heartbeat_interval: float = 1.0,
@@ -128,7 +127,6 @@ class ClusterCoordinator(FrontDoor):
         span_recorder: obs.SpanRecorder | None = None,
     ) -> None:
         super().__init__(
-            wire_mode=wire_mode,
             max_inflight=max_inflight,
             retry_after=retry_after,
             access_log=access_log,

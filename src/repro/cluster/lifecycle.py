@@ -156,7 +156,6 @@ class LocalCluster:
         jobs: int | None = None,
         cache: "str | None" = "memory",
         vectorize: bool = True,
-        wire: str = "auto",
         dispatch: str = "least-loaded",
         max_inflight: int | None = None,
         worker_max_inflight: int | None = None,
@@ -178,7 +177,6 @@ class LocalCluster:
         self.jobs = jobs
         self.cache = cache
         self.vectorize = vectorize
-        self.wire = wire
         self.dispatch = dispatch
         self.max_inflight = max_inflight
         self.worker_max_inflight = worker_max_inflight
@@ -214,8 +212,6 @@ class LocalCluster:
             "0",
             "--backend",
             self.backend,
-            "--wire",
-            self.wire,
         ]
         if self.jobs is not None:
             command += ["--jobs", str(self.jobs)]
@@ -273,7 +269,6 @@ class LocalCluster:
                 heartbeat_interval=self.heartbeat_interval,
                 max_missed=self.max_missed,
                 max_reroutes=self.max_reroutes,
-                wire_mode="safe" if self.wire == "safe" else "auto",
                 access_log=self.access_log,
                 span_recorder=recorder,
             )

@@ -20,12 +20,13 @@ kind ``"cache"``):
 * :class:`MemoryPlanCache` (``memory``) — the in-process LRU; entries
   beyond ``max_entries`` are evicted oldest-first and counted.
 * :class:`SQLitePlanCache` (``sqlite``) — a durable, shareable store:
-  one row per content key (:func:`encode_key` digest), the pickled
-  :class:`~repro.core.pipeline.PlanResult` as the value, and hit/miss
-  counters persisted alongside so ``repro cache stats`` reports across
-  runs.  Safe for concurrent readers/writers across threads *and*
-  processes (WAL journal, per-thread connections, single-statement
-  atomic updates).
+  one row per content key (:func:`encode_key` digest), the
+  :class:`~repro.core.pipeline.PlanResult` as a binary-v2 envelope
+  (:mod:`repro.service.wire`, never a pickle) as the value, and
+  hit/miss counters persisted alongside so ``repro cache stats``
+  reports across runs.  Safe for concurrent readers/writers across
+  threads *and* processes (WAL journal, per-thread connections,
+  single-statement atomic updates).
 * :class:`TieredPlanCache` (``tiered``) — memory front, a durable or
   remote store behind: reads try memory first and *promote* back-tier
   hits, writes go through to both tiers, and
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import sqlite3
 import threading
 import time
@@ -323,11 +323,21 @@ class MemoryPlanCache(BasePlanStore):
 PlanCache = MemoryPlanCache
 
 
-#: export file magic, checked BEFORE any unpickling so ``repro cache
-#: import`` rejects files that are not exports without executing them
-_EXPORT_MAGIC = b"repro-plan-cache:v1\n"
+#: the payload an export's binary-v2 envelope carries is marked with
+#: this format name and version
 _EXPORT_FORMAT = "repro-plan-cache"
-_EXPORT_VERSION = 1
+_EXPORT_VERSION = 2
+
+
+def _is_export_row(row: Any) -> bool:
+    """``(digest, blob, created_at, last_used)``, as ``plans`` stores it."""
+    return (
+        isinstance(row, tuple)
+        and len(row) == 4
+        and isinstance(row[0], str)
+        and isinstance(row[1], bytes)
+        and all(isinstance(t, (int, float)) for t in row[2:])
+    )
 
 
 @register(
@@ -339,9 +349,17 @@ class SQLitePlanCache(BasePlanStore):
     """A durable plan store: one sqlite file, shareable and resumable.
 
     One row per content key — the :func:`encode_key` digest as primary
-    key, the pickled :class:`PlanResult` as the value — plus persisted
-    hit/miss counters, so statistics survive the process that earned
-    them and ``repro cache stats PATH`` reports across runs.
+    key, the :class:`PlanResult` packed as a binary-v2 envelope as the
+    value — plus persisted hit/miss counters, so statistics survive the
+    process that earned them and ``repro cache stats PATH`` reports
+    across runs.  Nothing read back from the file is ever unpickled: a
+    row that is not a binary-v2 envelope holding a :class:`PlanResult`
+    (a file written before binary-v2 was the only format, or a
+    corrupted one) is counted and served as a miss, and the next
+    ``put`` under its key overwrites it.  The envelope's magic line
+    versions each row, so this needs no schema column.  A result the
+    codec cannot encode (a plugin's exotic ``detail``) makes ``put``
+    raise :class:`~repro.service.wire.WireError` naming the type.
 
     Concurrency: the journal runs in WAL mode (readers never block the
     writer), every connection waits ``timeout`` seconds on a locked
@@ -418,6 +436,9 @@ class SQLitePlanCache(BasePlanStore):
         )
 
     def get(self, key: Hashable) -> PlanResult | None:
+        # imported here: repro.service imports this module
+        from repro.service.wire import WireError, unpack_v2
+
         # hits touch only the counter, not the row: the store never
         # evicts, so per-hit recency writes would buy nothing and cost
         # a write transaction on the hot (shared, multi-reader) path
@@ -425,23 +446,27 @@ class SQLitePlanCache(BasePlanStore):
         row = self._connection().execute(
             "SELECT value FROM plans WHERE key = ?", (digest,)
         ).fetchone()
-        if row is None:
+        result = None
+        if row is not None:
+            try:
+                result = unpack_v2(row[0])
+            except WireError:
+                pass  # a pickle-era or corrupted row: a miss
+        if not isinstance(result, PlanResult):
             self._count("misses")
             return None
         self._count("hits")
-        return pickle.loads(row[0])
+        return result
 
     def put(self, key: Hashable, result: PlanResult) -> None:
+        from repro.service.wire import pack_v2
+
+        value = pack_v2(result)
         now = time.time()
         self._connection().execute(
             "INSERT OR REPLACE INTO plans (key, value, created_at, last_used)"
             " VALUES (?, ?, ?, ?)",
-            (
-                encode_key(key),
-                pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-                now,
-                now,
-            ),
+            (encode_key(key), value, now, now),
         )
 
     def clear(self) -> None:
@@ -467,10 +492,12 @@ class SQLitePlanCache(BasePlanStore):
     def export_file(self, destination: str | Path) -> int:
         """Write every row to a portable export; returns the row count.
 
-        The file is a magic header followed by a pickled payload with
-        a format marker and version, and raw ``(digest, blob)`` rows —
-        no plan is unpickled in transit.
+        The file is one binary-v2 envelope whose payload carries a
+        format marker, a version and the raw ``(digest, blob,
+        created_at, last_used)`` rows — no plan is decoded in transit.
         """
+        from repro.service.wire import pack_v2
+
         rows = self._connection().execute(
             "SELECT key, value, created_at, last_used FROM plans"
         ).fetchall()
@@ -480,33 +507,29 @@ class SQLitePlanCache(BasePlanStore):
             "rows": rows,
         }
         with open(destination, "wb") as fh:
-            fh.write(_EXPORT_MAGIC)
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(pack_v2(payload))
         return len(rows)
 
     def import_file(self, source: str | Path) -> int:
         """Merge an exported payload into this store; returns rows merged.
 
-        The magic header is checked *before* any unpickling, so a file
-        that is not a plan-cache export is rejected without executing
-        anything from it.  (A pickle is still a pickle: only import
-        exports from sources you trust.)  Imported rows overwrite
-        same-key rows — plans are pure, so any two values under one
-        content key are interchangeable.
+        The file must be one binary-v2 envelope holding an export
+        payload with well-formed rows; anything else — a pickle-era
+        export included, which is never unpickled — raises
+        ``ValueError``.  Imported rows overwrite same-key rows — plans
+        are pure, so any two values under one content key are
+        interchangeable.
         """
+        from repro.service.wire import WireError, unpack_v2
+
         with open(source, "rb") as fh:
-            magic = fh.read(len(_EXPORT_MAGIC))
-            if magic != _EXPORT_MAGIC:
-                raise ValueError(
-                    f"{source!s} is not a repro plan-cache export "
-                    "(missing header)"
-                )
-            try:
-                payload = pickle.load(fh)
-            except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
-                raise ValueError(
-                    f"{source!s} is not a repro plan-cache export ({exc})"
-                ) from None
+            data = fh.read()
+        try:
+            payload = unpack_v2(data)
+        except WireError as exc:
+            raise ValueError(
+                f"{source!s} is not a repro plan-cache export ({exc})"
+            ) from None
         if (
             not isinstance(payload, dict)
             or payload.get("format") != _EXPORT_FORMAT
@@ -520,9 +543,7 @@ class SQLitePlanCache(BasePlanStore):
                 f"(expected {_EXPORT_VERSION})"
             )
         rows = payload.get("rows")
-        if not isinstance(rows, list) or not all(
-            isinstance(row, (tuple, list)) and len(row) == 4 for row in rows
-        ):
+        if not isinstance(rows, list) or not all(map(_is_export_row, rows)):
             raise ValueError(
                 f"{source!s} is not a repro plan-cache export (bad rows)"
             )

@@ -35,8 +35,9 @@ Outcome taxonomy (mirrors the service error model):
                 server-side count reconciliation
 ==============  =====================================================
 
-The wire-profile handshake runs before the clock starts, so the
-measured window contains planning traffic only.
+Each thread opens its pooled connection with one ``/healthz`` before
+the clock starts, so the measured window contains planning traffic
+only.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ def _execute(
 
 def _worker(
     base_url: str,
-    profile: str,
     timeout: float,
     ops: List[Op],
     rps: float,
@@ -109,15 +109,11 @@ def _worker(
     recorder: Optional[SpanRecorder] = None,
 ) -> None:
     with ServiceClient(
-        base_url,
-        timeout=timeout,
-        retries=0,
-        wire_profile=profile,
-        span_recorder=recorder,
+        base_url, timeout=timeout, retries=0, span_recorder=recorder
     ) as client:
-        # pin the negotiated profile so the thread's first planning call
-        # needs no /healthz round-trip inside the measured window
-        client.wire_profile()
+        # connect before the clock starts, so the thread's first
+        # planning call pays no TCP handshake inside the measured window
+        client.healthz()
         start["barrier"].wait()  # type: ignore[attr-defined]
         while True:
             with cursor_lock:
@@ -175,7 +171,6 @@ def run_loadtest(
     mix: Optional[Mapping[str, float]] = None,
     seed: int = 2013,
     threads: int = 4,
-    wire_profile: Optional[str] = None,
     timeout: float = 10.0,
     error_budget: float = 0.01,
     batch_size: int = 8,
@@ -230,12 +225,9 @@ def run_loadtest(
         )
     threads = min(threads, len(ops))
 
-    # resolve the wire profile once, outside the measured window; the
-    # same resolved name is pinned into every worker's client
-    with ServiceClient(
-        base_url, timeout=timeout, retries=0, wire_profile=wire_profile
-    ) as probe:
-        profile = probe.wire_profile()
+    # fail fast on an unreachable target, outside the measured window
+    with ServiceClient(base_url, timeout=timeout, retries=0) as probe:
+        probe.healthz()
         before: Dict[str, Any] = (
             probe.get_json("/metrics") if check_server else {}
         )
@@ -256,8 +248,8 @@ def run_loadtest(
             target=_worker,
             name=f"repro-loadtest-{i}",
             args=(
-                base_url, profile, timeout, ops, rps, start, cursor,
-                cursor_lock, metrics[i], tallies[i], trace_sample, recorder,
+                base_url, timeout, ops, rps, start, cursor, cursor_lock,
+                metrics[i], tallies[i], trace_sample, recorder,
             ),
             daemon=True,
         )
@@ -265,8 +257,8 @@ def run_loadtest(
     ]
     for worker in workers:
         worker.start()
-    # every worker has finished its handshake once it reaches the
-    # barrier; the clock starts only then
+    # every worker has connected once it reaches the barrier; the
+    # clock starts only then
     start["t0"] = time.monotonic()
     barrier.wait()
     for worker in workers:
@@ -298,7 +290,6 @@ def run_loadtest(
     client_spans = recorder.drain() if recorder is not None else []
     return LoadtestReport(
         target=base_url,
-        wire_profile=profile,
         seed=seed,
         threads=threads,
         target_rps=float(rps),

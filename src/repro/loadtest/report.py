@@ -133,7 +133,6 @@ class LoadtestReport:
     """Everything one load-test run measured, renderable and JSON-able."""
 
     target: str
-    wire_profile: str
     seed: int
     threads: int
     target_rps: float
@@ -237,7 +236,6 @@ class LoadtestReport:
         return {
             "target": self.target,
             **({"trace": trace} if trace is not None else {}),
-            "wire_profile": self.wire_profile,
             "seed": self.seed,
             "threads": self.threads,
             "target_rps": self.target_rps,
@@ -280,8 +278,7 @@ class LoadtestReport:
         """The human-facing summary ``repro loadtest`` prints."""
         lines = [
             f"loadtest against {self.target} "
-            f"(wire={self.wire_profile}, seed={self.seed}, "
-            f"threads={self.threads})",
+            f"(seed={self.seed}, threads={self.threads})",
             f"  target: {self.target_rps:g} req/s for {self.duration_s:g}s"
             f" — sent {self.sent} requests in {self.elapsed_s:.2f}s",
             f"  achieved: {self.achieved_rps:.1f} req/s  "

@@ -3,8 +3,8 @@
 Turns the planner into a network service on top of the PR-2 session
 seam and the PR-4 plan-store protocol:
 
-* :mod:`repro.service.wire` — the versioned envelope every binary
-  payload travels in (magic header before any unpickling).
+* :mod:`repro.service.wire` — binary-v2, the one versioned envelope
+  every binary payload travels in (pickle-free, magic line first).
 * :mod:`repro.service.server` — :class:`PlanServer` / ``repro serve``:
   a :class:`~repro.core.session.PlannerSession` behind a stdlib
   threading HTTP server (``/plan``, ``/plan_batch``, ``/cache/*``,

@@ -42,6 +42,9 @@ JSON error bodies and wire version mismatches surface as
 :class:`PlanServiceError` / :class:`~repro.service.wire.WireError`
 immediately, carrying the server's own message (and the HTTP status in
 ``PlanServiceError.code``).
+
+Every envelope travels as binary-v2 (:mod:`repro.service.wire`), the
+only format either end speaks, so a call needs no handshake first.
 """
 
 from __future__ import annotations
@@ -123,17 +126,10 @@ class ServiceClient:
     capped by ``retry_after_cap`` (the server knows its queue, so its
     clock beats the client's — but only up to the cap).
 
-    ``wire_profile`` picks the envelope format requests are packed in:
-    ``"binary-v2"`` (typed, zero-copy), ``"pickle-v1"`` (legacy), or
-    ``"auto"`` (default) to negotiate the best profile both ends speak.
-    ``None`` reads the ``REPRO_WIRE`` environment variable, falling
-    back to ``auto`` — so CLI sweeps pick a profile without new flags.
-    The handshake is lazy: the first envelope call GETs ``/healthz``
-    and checks the server's advertised ``wire_profiles`` (a server
-    predating profiles counts as pickle-v1 only); asking for a profile
-    the server refuses — e.g. a pickle-v1 client against a ``--wire
-    safe`` server — raises :class:`PlanServiceError` with the server's
-    accepted list, *before* any payload is shipped.
+    ``wire_profile`` accepts only ``None`` or ``"binary-v2"`` (anything
+    else is a ``ValueError``) and changes nothing: it and
+    :meth:`wire_profile` survive only because ``perfbench/driver.py``
+    still passes and calls them.  Drop both once perfbench stops.
 
     Tracing: every envelope call accepts ``trace=TraceContext`` to
     propagate (or force-sample) a distributed trace; ``trace_sample=N``
@@ -181,15 +177,11 @@ class ServiceClient:
                 f"retry_after_cap must be > 0, got {retry_after_cap}"
             )
         self.retry_after_cap = float(retry_after_cap)
-        if wire_profile is None:
-            wire_profile = os.environ.get("REPRO_WIRE", "auto")
-        if wire_profile != "auto" and wire_profile not in wire.PROFILES:
+        if wire_profile not in (None, wire.PROFILE_BINARY):
             raise ValueError(
-                f"unknown wire profile {wire_profile!r}; pick 'auto' or "
-                f"one of {wire.PROFILES}"
+                f"unknown wire profile {wire_profile!r}; the only one is "
+                f"{wire.PROFILE_BINARY!r}"
             )
-        self.requested_profile = wire_profile
-        self._active_profile: str | None = None
         # -- tracing: callers may pass an explicit TraceContext per call
         # ("always when the caller asks"); otherwise trace_sample=N
         # originates a sampled context on every Nth envelope call.  The
@@ -203,42 +195,9 @@ class ServiceClient:
         self.span_recorder = span_recorder
         self._op_counter = itertools.count()
 
-    # -- wire-profile handshake ------------------------------------------
-
     def wire_profile(self) -> str:
-        """The profile envelopes travel in (negotiated on first use)."""
-        if self._active_profile is None:
-            advertised = self._server_profiles()
-            if self.requested_profile == "auto":
-                for profile in wire.PROFILES:  # preference order
-                    if profile in advertised:
-                        self._active_profile = profile
-                        break
-                else:
-                    raise PlanServiceError(
-                        f"no common wire profile with {self.base_url}: "
-                        f"server speaks {advertised}, this client speaks "
-                        f"{list(wire.PROFILES)}"
-                    )
-            elif self.requested_profile not in advertised:
-                raise PlanServiceError(
-                    f"plan server at {self.base_url} does not accept wire "
-                    f"profile {self.requested_profile!r} (it accepts: "
-                    f"{', '.join(advertised)}) — likely a --wire safe "
-                    "server refusing pickle; switch this client to "
-                    f"{wire.PROFILE_BINARY!r} or REPRO_WIRE=binary-v2"
-                )
-            else:
-                self._active_profile = self.requested_profile
-        return self._active_profile
-
-    def _server_profiles(self) -> List[str]:
-        health = self.healthz()
-        advertised = health.get("wire_profiles")
-        if advertised is None:
-            # a pre-profile server: it speaks pickle-v1 and nothing else
-            return [wire.PROFILE_PICKLE]
-        return [str(p) for p in advertised]
+        """``"binary-v2"``, with no I/O (see the class docstring)."""
+        return wire.PROFILE_BINARY
 
     # -- transport -------------------------------------------------------
 
@@ -278,13 +237,10 @@ class ServiceClient:
         path: str,
         data: bytes | None,
         content_type: str | None,
-        profile: str | None = None,
         trace: Optional[TraceContext] = None,
     ) -> bytes:
         url = f"{self.base_url}{path}"
-        headers = {wire.VERSION_HEADER: str(wire.WIRE_VERSION)}
-        if profile:
-            headers[wire.PROFILE_HEADER] = profile
+        headers: dict = {}
         if content_type:
             headers["Content-Type"] = content_type
         if trace is not None:
@@ -368,15 +324,12 @@ class ServiceClient:
     ) -> Any:
         """POST an envelope, return the response envelope's payload.
 
-        Packed in the negotiated wire profile; the server answers in
-        the same profile (decoded by magic line, so a response can
-        never be mis-read as the wrong format).  ``trace`` propagates
-        an existing trace context; without one, ``trace_sample`` may
-        originate a fresh sampled trace for this call.
+        ``trace`` propagates an existing trace context; without one,
+        ``trace_sample`` may originate a fresh sampled trace for this
+        call.
         """
         ctx = self._trace_for(trace)
-        profile = self.wire_profile()
-        data = wire.pack_as(payload, profile)
+        data = wire.pack_v2(payload)
         if ctx is not None and ctx.sampled and self.span_recorder is not None:
             # the client-observed latency every server-side span must
             # nest inside: pack time is excluded (it happened above),
@@ -390,13 +343,11 @@ class ServiceClient:
                 url=self.base_url,
             ):
                 body = self._request(
-                    path, data, wire.CONTENT_TYPE, profile, trace=ctx
+                    path, data, wire.CONTENT_TYPE, trace=ctx
                 )
         else:
-            body = self._request(
-                path, data, wire.CONTENT_TYPE, profile, trace=ctx
-            )
-        return wire.unpack_any(body)
+            body = self._request(path, data, wire.CONTENT_TYPE, trace=ctx)
+        return wire.unpack_v2(body)
 
     def get_json(self, path: str) -> dict:
         """GET a JSON control endpoint (``/healthz``, ``/cache/stats``)."""
@@ -426,18 +377,12 @@ class ServiceClient:
         return self.post("/cache/get", key, trace=trace)
 
     def cache_put(self, key: Hashable, result: PlanResult) -> None:
-        profile = self.wire_profile()
         self._request(
-            "/cache/put",
-            wire.pack_as((key, result), profile),
-            wire.CONTENT_TYPE,
-            profile,
+            "/cache/put", wire.pack_v2((key, result)), wire.CONTENT_TYPE
         )
 
     def cache_clear(self) -> None:
-        self._request(
-            "/cache/clear", b"", wire.CONTENT_TYPE, self.wire_profile()
-        )
+        self._request("/cache/clear", b"", wire.CONTENT_TYPE)
 
     def cache_stats(self) -> dict:
         return self.get_json("/cache/stats")
@@ -521,15 +466,10 @@ class RemoteBackend(Backend):
         timeout: float = 60.0,
         retries: int = 2,
         retry_wait: float = 0.2,
-        wire_profile: str | None = None,
     ) -> None:
         super().__init__(jobs)
         self.client = ServiceClient(
-            address,
-            timeout=timeout,
-            retries=retries,
-            retry_wait=retry_wait,
-            wire_profile=wire_profile,
+            address, timeout=timeout, retries=retries, retry_wait=retry_wait
         )
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
@@ -579,14 +519,9 @@ class HTTPPlanCache(BasePlanStore):
         timeout: float = 30.0,
         retries: int = 2,
         retry_wait: float = 0.2,
-        wire_profile: str | None = None,
     ) -> None:
         self.client = ServiceClient(
-            url,
-            timeout=timeout,
-            retries=retries,
-            retry_wait=retry_wait,
-            wire_profile=wire_profile,
+            url, timeout=timeout, retries=retries, retry_wait=retry_wait
         )
 
     @property

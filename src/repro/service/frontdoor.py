@@ -4,7 +4,7 @@
 :class:`~repro.cluster.coordinator.ClusterCoordinator` speak the same
 protocol, so the protocol lives here once: :class:`FrontDoor` holds the
 server state around the handler (metrics, access log, admission gate,
-span recorder, accepted wire profiles, socket lifecycle) and
+span recorder, socket lifecycle) and
 :class:`FrontDoorHandler` is the only request handler.  A concrete
 server supplies three things:
 
@@ -24,10 +24,10 @@ What the handler guarantees for every route:
   site) before its first byte hits the wire, so a client holding its
   answer can already see the request in ``/metrics``; the loadtest
   cross-check reconciles client and server counts on that;
-* **wire negotiation** — wire-speaking POSTs name their profile in the
-  :data:`~repro.service.wire.PROFILE_HEADER` header (else the body's
-  magic line decides) and are answered in kind; a refused profile
-  (``--wire safe`` vs pickle) is a 400 before any byte is decoded;
+* **one wire format** — every envelope route decodes its body as
+  binary-v2 (:mod:`repro.service.wire`) and answers in it; a body that
+  is not a binary-v2 envelope, a pickle included, is a 400 before any
+  byte of it is decoded;
 * **tracing** — a sampled ``X-Repro-Trace`` context opens a
   ``"{role} {endpoint}"`` root span around the route, with
   ``wire_decode`` / ``wire_encode`` spans at the envelope seams;
@@ -52,7 +52,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 from repro import obs
-from repro.core.pipeline import PlanRequest
+from repro.core.pipeline import PlanRequest, PlanResult
 from repro.core.vectorize import VectorGroup
 from repro.registry import RegistryError
 from repro.service import wire
@@ -73,11 +73,10 @@ class Route(NamedTuple):
     ``takes`` is what ``op`` receives: nothing (``""``), the decoded
     request envelope (``"envelope"``) or the parsed JSON object body
     (``"json"``).  ``reply`` is how its return value goes back: as JSON,
-    as an envelope in the request's profile, or as the ``/metrics``
-    payload (JSON or Prometheus, by ``?format=``).  ``gated`` routes
-    pass the admission gate first.  A POST route with ``wire`` set
-    negotiates a profile and runs under the root span; control-plane
-    routes clear it and need neither.
+    as a binary-v2 envelope, or as the ``/metrics`` payload (JSON or
+    Prometheus, by ``?format=``).  ``gated`` routes pass the admission
+    gate first.  A POST route with ``wire`` set speaks the plan wire and
+    runs under the root span; control-plane routes clear it.
     """
 
     verb: str
@@ -160,7 +159,7 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             if verb == "GET" or (route is not None and not route.wire):
                 self._call(route, body)
                 return
-            self._profile = self._request_profile(body)
+            self._profile = wire.PROFILE_BINARY
             with obs.serving(
                 self.door.span_recorder,
                 self._trace,
@@ -212,9 +211,7 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             with obs.span(
                 "wire_decode", profile=self._profile, nbytes=len(body)
             ):
-                args: tuple = (
-                    wire.unpack_any(body, allowed=(self._profile,)),
-                )
+                args: tuple = (wire.unpack_v2(body),)
         elif route.takes == "json":
             args = (self._json_body(body),)
         else:
@@ -222,7 +219,7 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
         result = route.op(*args)
         if route.reply == "envelope":
             with obs.span("wire_encode", profile=self._profile):
-                data = wire.pack_as(result, self._profile)
+                data = wire.pack_v2(result)
             self._reply(200, data, wire.CONTENT_TYPE)
         elif route.reply == "metrics":
             self._reply_metrics(result)
@@ -257,38 +254,6 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             )
         return payload
 
-    def _request_profile(self, body: bytes) -> str:
-        """The wire profile this request speaks (header, else magic).
-
-        Requests with an empty body (``/cache/clear``) carry no magic
-        line, so the :data:`~repro.service.wire.PROFILE_HEADER` the
-        clients send decides; bodies decide for headerless v1 clients.
-        A profile the server refuses (``--wire safe`` vs pickle) fails
-        here with a clear, actionable message — before any unpickling.
-        """
-        allowed = self.door.wire_profiles
-        role = self.door.role
-        header = (self.headers.get(wire.PROFILE_HEADER) or "").strip()
-        if header:
-            profile = header
-            if profile not in wire.PROFILES:
-                raise wire.WireError(
-                    f"unknown wire profile {profile!r}; this {role} "
-                    f"speaks {', '.join(allowed)}"
-                )
-        elif body:
-            profile = wire.detect_profile(body)
-        else:
-            profile = wire.PROFILE_PICKLE
-        if profile not in allowed:
-            raise wire.WireError(
-                f"wire profile {profile!r} refused: this {role} runs "
-                f"--wire safe and only accepts {', '.join(allowed)} — "
-                "upgrade the client (it negotiates binary-v2 via "
-                f"/healthz) or restart the {role} with --wire auto"
-            )
-        return profile
-
     # -- replies -----------------------------------------------------------
 
     def _reply(
@@ -318,10 +283,6 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.send_header(wire.VERSION_HEADER, str(wire.WIRE_VERSION))
-        self.send_header(
-            wire.PROFILE_HEADER, ",".join(self.door.wire_profiles)
-        )
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
         if self.close_connection or self.door._closing:
@@ -383,10 +344,9 @@ class FrontDoor:
     Subclasses set up their own state, call ``super().__init__`` and
     finish with :meth:`_listen` (which builds the route table and binds
     the socket, so a failing constructor never leaks a listener).
-    ``wire_mode="safe"`` drops pickle-v1 so nothing on this port ever
-    unpickles; ``max_inflight`` / ``retry_after`` configure the
-    admission gate on the gated routes; ``access_log`` and
-    ``span_recorder`` receive every response and every sampled span.
+    ``max_inflight`` / ``retry_after`` configure the admission gate on
+    the gated routes; ``access_log`` and ``span_recorder`` receive
+    every response and every sampled span.
 
     Use as a context manager or call :meth:`close`; :meth:`start` runs
     the accept loop on a daemon thread (tests, embedding),
@@ -399,21 +359,11 @@ class FrontDoor:
     def __init__(
         self,
         *,
-        wire_mode: str,
         max_inflight: int | None,
         retry_after: float,
         access_log: AccessLog | None,
         span_recorder: obs.SpanRecorder | None,
     ) -> None:
-        if wire_mode not in ("auto", "safe"):
-            raise ValueError(
-                f"wire_mode must be 'auto' or 'safe', got {wire_mode!r}"
-            )
-        self.wire_mode = wire_mode
-        #: profiles this server accepts and advertises, preference first
-        self.wire_profiles: tuple = (
-            (wire.PROFILE_BINARY,) if wire_mode == "safe" else wire.PROFILES
-        )
         self.metrics = ServerMetrics()
         #: when set, every handled response also appends one access line
         self.access_log = access_log
@@ -492,6 +442,17 @@ class FrontDoor:
         return self.plan_items(items)
 
     def _cache_put_route(self, entry: Any) -> dict:
+        # a store serves what it holds to every later /plan: anything
+        # but a PlanResult would break those requests for every client
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and isinstance(entry[1], PlanResult)
+        ):
+            raise wire.WireError(
+                "/cache/put expects a (key, PlanResult) pair, got "
+                f"{type(entry).__name__}"
+            )
         key, result = entry
         self.cache_put(key, result)
         return {"stored": True}
@@ -504,8 +465,10 @@ class FrontDoor:
             "status": "ok",
             "service": wire.WIRE_FORMAT,
             "wire_version": wire.WIRE_VERSION,
-            "wire_profiles": list(self.wire_profiles),
-            "wire_mode": self.wire_mode,
+            # clients built before binary-v2 became the only format read
+            # this field to negotiate; without it they would fall back
+            # to pickle-v1 and get a 400 on every call
+            "wire_profiles": [wire.PROFILE_BINARY],
             "version": __version__,
             "max_inflight": self.admission.limit,
             **fields,

@@ -18,15 +18,15 @@ endpoint            verb  payload
 ``/cache/clear``    POST  (empty) → JSON ack
 ==================  ====  =================================================
 
-Binary payloads are the versioned envelopes of :mod:`repro.service.wire`
-(magic header checked before unpickling, wire-version mismatches fail
-loudly); control/inspection endpoints are plain JSON so ``curl`` works.
-The HTTP protocol itself — wire-profile negotiation and ``--wire
-safe``, the 400/500 error mapping, ``/metrics`` as JSON or Prometheus,
-``--max-inflight`` admission (``429`` + ``Retry-After``), ``--log``
-access lines and ``--trace`` spans — is the shared front door's
-(:mod:`repro.service.frontdoor`); this module supplies the planning
-operations behind it.
+Binary payloads are the binary-v2 envelopes of
+:mod:`repro.service.wire` (magic line checked first, nothing is ever
+unpickled, wire-version mismatches fail loudly); control/inspection
+endpoints are plain JSON so ``curl`` works.  The HTTP protocol itself —
+envelope decoding, the 400/500 error mapping, ``/metrics`` as JSON or
+Prometheus, ``--max-inflight`` admission (``429`` + ``Retry-After``),
+``--log`` access lines and ``--trace`` spans — is the shared front
+door's (:mod:`repro.service.frontdoor`); this module supplies the
+planning operations behind it.
 
 ``/plan`` and ``/plan_batch`` route through the server's session, so
 every result a client ever asked for lands in the server's plan store —
@@ -107,8 +107,8 @@ class PlanServer(FrontDoor):
     ``sqlite:PATH`` or ``tiered:PATH`` make the shared store durable,
     which is what lets a restarted server keep serving disk hits.
     ``port=0`` binds an ephemeral port (read it back from ``.port`` /
-    the ``repro serve`` banner).  The HTTP protocol, admission, wire
-    modes, metrics, access log and tracing are the shared
+    the ``repro serve`` banner).  The HTTP protocol, admission,
+    metrics, access log and tracing are the shared
     :class:`~repro.service.frontdoor.FrontDoor`'s; this class supplies
     the operations its routes call.
     """
@@ -122,14 +122,12 @@ class PlanServer(FrontDoor):
         jobs: int | None = None,
         cache: "bool | str | PlanStore" = True,
         vectorize: bool = True,
-        wire_mode: str = "auto",
         max_inflight: int | None = None,
         retry_after: float = 0.5,
         access_log: AccessLog | None = None,
         span_recorder: obs.SpanRecorder | None = None,
     ) -> None:
         super().__init__(
-            wire_mode=wire_mode,
             max_inflight=max_inflight,
             retry_after=retry_after,
             access_log=access_log,

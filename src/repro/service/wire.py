@@ -1,50 +1,33 @@
-"""The plan service's wire formats: pickle-v1 and binary-v2 profiles.
+"""The plan service's one wire and storage format: binary-v2.
 
 Every binary payload the service moves — a
 :class:`~repro.core.pipeline.PlanRequest`, a
 :class:`~repro.core.vectorize.VectorGroup`, a list of
-:class:`~repro.core.pipeline.PlanResult`\\ s, a plan-cache key —
-travels as one *envelope*, in one of two profiles:
+:class:`~repro.core.pipeline.PlanResult`\\ s, a plan-cache key — and
+every value the sqlite plan store keeps travels as one *envelope*::
 
-``pickle-v1`` (:data:`PROFILE_PICKLE`) — the original format::
-
-    repro-plan-wire:v1\\n          <- magic line, checked BEFORE unpickling
-    pickle({"format":  "repro-plan-service",
-            "version": 1,
-            "payload": <the object>})
-
-``binary-v2`` (:data:`PROFILE_BINARY`) — a typed, pickle-free codec::
-
-    repro-plan-wire:v2\\n          <- magic line
+    repro-plan-wire:v2\\n          <- magic line, checked first
     <8-byte big-endian header length>
     json({"format": "repro-plan-service", "version": 2,
           "payload": <tagged tree>,
           "frames":  [[dtype, shape, offset, nbytes], ...]})
     <frame 0 raw bytes><frame 1 raw bytes>...
 
-In v2 every NumPy array rides *out of band*: the JSON header carries
-its dtype/shape and a byte range, the body carries the contiguous
-bytes, and decoding is ``np.frombuffer`` straight over the received
-buffer — no pickle, no base64, no copy (the decoded arrays are
-read-only views of the message body; encoding joins the frames'
-memoryviews into the body with a single copy).  Everything else is a
-tagged JSON tree handled by an explicit codec for the service's own
-types, so decoding v2 never executes anything from the payload.
+Every NumPy array rides *out of band*: the JSON header carries its
+dtype/shape and a byte range, the body carries the contiguous bytes,
+and decoding is ``np.frombuffer`` straight over the received buffer —
+no base64, no copy (the decoded arrays are read-only views of the
+message body; encoding joins the frames' memoryviews into the body
+with a single copy).  Everything else is a tagged JSON tree handled by
+an explicit codec for the service's own types, so decoding never
+executes anything from the payload and nothing here ever unpickles.
 
-The magic line makes accidental cross-talk (posting a cache export, an
-HTML error page, or an unknown wire version at an endpoint) fail with
-a clean :class:`WireError` *without* executing anything from the body.
-Peers negotiate profiles per request with the :data:`PROFILE_HEADER`
-HTTP header and discover each other's profiles from ``/healthz``
-(see :mod:`repro.service.server` and :mod:`repro.service.client`); a
-server running ``--wire safe`` refuses pickle-v1 envelopes entirely.
-
-Trust model: a ``pickle-v1`` body is still a pickle, and unpickling
-runs code — that profile remains for *trusted* networks only, the same
-caveat ``repro cache import`` has carried since PR 4.  The
-``binary-v2`` profile removes that exposure for all built-in payload
-types; a custom strategy whose params or detail carry arbitrary Python
-objects must either keep to codec-supported types or stay on v1.
+The magic line makes accidental cross-talk (posting an HTML error
+page, a pickle, or an unknown wire version at an endpoint) fail with a
+clean :class:`WireError` before any byte of the body is decoded.  A
+custom strategy whose params or detail carry types the codec does not
+know cannot be encoded: :func:`pack_v2` raises :class:`WireError`
+naming the type.
 """
 
 from __future__ import annotations
@@ -52,39 +35,26 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import pickle
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
 #: dotted format name embedded in every envelope
 WIRE_FORMAT = "repro-plan-service"
-#: version of the pickle profile; both ends must match
-WIRE_VERSION = 1
-#: version of the binary profile
-WIRE_V2_VERSION = 2
-#: magic first line of a pickle-v1 envelope; checked before unpickling
-WIRE_MAGIC = b"repro-plan-wire:v1\n"
-#: magic first line of a binary-v2 envelope
-WIRE_V2_MAGIC = b"repro-plan-wire:v2\n"
+#: envelope version; both ends must match
+WIRE_VERSION = 2
+#: magic first line of every envelope
+WIRE_MAGIC = b"repro-plan-wire:v2\n"
 #: content type the HTTP endpoints speak for binary envelopes
 CONTENT_TYPE = "application/x-repro-plan"
-#: HTTP header advertising the sender's wire version (legacy, v1)
-VERSION_HEADER = "X-Repro-Wire-Version"
-#: HTTP header naming the profile a request/response body is packed in
-PROFILE_HEADER = "X-Repro-Wire"
 #: HTTP header a distributed-trace context travels in.  Defined in
 #: :mod:`repro.obs.context` (stdlib-only, so core layers may import it
 #: without pulling in numpy); re-exported here because this module is
 #: where the service's header names live.
 from repro.obs.context import TRACE_HEADER  # noqa: E402,F401
 
-#: the pickle envelope profile (trusted networks only)
-PROFILE_PICKLE = "pickle-v1"
-#: the typed zero-copy binary profile
+#: the name of the one format, as access logs and spans report it
 PROFILE_BINARY = "binary-v2"
-#: every profile this build speaks, preference order first
-PROFILES: Tuple[str, ...] = (PROFILE_BINARY, PROFILE_PICKLE)
 
 
 class WireError(ValueError):
@@ -92,49 +62,7 @@ class WireError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# pickle-v1 profile
-
-
-def pack(payload: Any) -> bytes:
-    """Wrap ``payload`` in a magic-prefixed, versioned pickle envelope."""
-    return WIRE_MAGIC + pickle.dumps(
-        {"format": WIRE_FORMAT, "version": WIRE_VERSION, "payload": payload},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def unpack(data: bytes) -> Any:
-    """Validate a pickle-v1 envelope and return its payload.
-
-    The magic prefix is checked before any unpickling, so arbitrary
-    bytes posted at a service endpoint (or a service response read by
-    something that is not a service client) are rejected without
-    executing anything from them.
-    """
-    if not data.startswith(WIRE_MAGIC):
-        raise WireError(
-            "not a repro plan-service envelope (missing "
-            f"{WIRE_MAGIC!r} header)"
-        )
-    try:
-        envelope = pickle.loads(data[len(WIRE_MAGIC):])
-    except Exception as exc:  # pickle raises a small zoo of types
-        raise WireError(f"undecodable plan-service envelope ({exc})") from None
-    if not isinstance(envelope, dict) or envelope.get("format") != WIRE_FORMAT:
-        raise WireError("not a repro plan-service envelope (bad format field)")
-    version = envelope.get("version")
-    if version != WIRE_VERSION:
-        raise WireError(
-            f"wire version mismatch: peer speaks {version!r}, "
-            f"this end speaks {WIRE_VERSION} — upgrade the older side"
-        )
-    if "payload" not in envelope:
-        raise WireError("not a repro plan-service envelope (no payload)")
-    return envelope["payload"]
-
-
-# ---------------------------------------------------------------------------
-# binary-v2 profile: typed tagged-tree codec with out-of-band array frames
+# typed tagged-tree codec with out-of-band array frames
 #
 # A node is either a JSON scalar (None/bool/int/float/str, encoded
 # natively) or a JSON array whose first element is a type tag.  Plain
@@ -286,7 +214,7 @@ def _encode_other(obj: Any, frames: List[np.ndarray]) -> Any:
         kind = type(obj).__name__
         if kind not in _comm_model_registry():
             raise WireError(
-                f"the binary-v2 wire profile cannot encode custom "
+                f"the binary-v2 wire format cannot encode custom "
                 f"communication model {kind!r}"
             )
         return _enc_comm_model(obj, frames)
@@ -303,9 +231,8 @@ def _encode_other(obj: Any, frames: List[np.ndarray]) -> Any:
         if isinstance(obj, cls):
             return _ENCODERS[cls](obj, frames)
     raise WireError(
-        f"the binary-v2 wire profile cannot encode {type(obj).__name__} "
-        "payloads; keep custom params/detail to codec-supported types or "
-        f"use the {PROFILE_PICKLE} profile"
+        f"the binary-v2 wire format cannot encode {type(obj).__name__} "
+        "payloads; keep custom params/detail to codec-supported types"
     )
 
 
@@ -328,7 +255,7 @@ def _enc_bool(obj, frames):
 def _enc_ndarray(obj, frames):
     if obj.dtype.hasobject:
         raise WireError(
-            "the binary-v2 wire profile cannot encode object arrays"
+            "the binary-v2 wire format cannot encode object arrays"
         )
     frames.append(obj)
     return ["nd", len(frames) - 1]
@@ -494,9 +421,19 @@ def _dec_set(node, frames):
 
 def _dec_result(node, frames):
     _, request, plan, elapsed_s, cached = node
+    request = _decode(request, frames)
+    plan = _decode(plan, frames)
+    # stores serve decoded results to every later client: a hollow
+    # one would break their plans, so it is malformed input here
+    if not isinstance(request, _PlanRequest) or not isinstance(
+        plan, _StrategyResult
+    ):
+        raise WireError(
+            "a plan result must hold a PlanRequest and a StrategyResult"
+        )
     return _PlanResult(
-        request=_decode(request, frames),
-        plan=_decode(plan, frames),
+        request=request,
+        plan=plan,
         elapsed_s=float(elapsed_s),
         cached=bool(cached),
     )
@@ -616,14 +553,14 @@ def pack_v2(payload: Any) -> bytes:
     header = json.dumps(
         {
             "format": WIRE_FORMAT,
-            "version": WIRE_V2_VERSION,
+            "version": WIRE_VERSION,
             "payload": node,
             "frames": meta,
         },
         separators=(",", ":"),
     ).encode("utf-8")
     return b"".join(
-        [WIRE_V2_MAGIC, len(header).to_bytes(8, "big"), header, *blobs]
+        [WIRE_MAGIC, len(header).to_bytes(8, "big"), header, *blobs]
     )
 
 
@@ -636,12 +573,12 @@ def unpack_v2(data: bytes) -> Any:
     service's own types through the explicit codec.  Truncated or
     garbled envelopes raise :class:`WireError`.
     """
-    if not data.startswith(WIRE_V2_MAGIC):
+    if not data.startswith(WIRE_MAGIC):
         raise WireError(
             "not a repro plan-service envelope (missing "
-            f"{WIRE_V2_MAGIC!r} header)"
+            f"{WIRE_MAGIC!r} header)"
         )
-    prefix = len(WIRE_V2_MAGIC)
+    prefix = len(WIRE_MAGIC)
     if len(data) < prefix + 8:
         raise WireError("truncated binary-v2 envelope (no header length)")
     header_len = int.from_bytes(data[prefix:prefix + 8], "big")
@@ -657,10 +594,10 @@ def unpack_v2(data: bytes) -> Any:
     if not isinstance(header, dict) or header.get("format") != WIRE_FORMAT:
         raise WireError("not a repro plan-service envelope (bad format field)")
     version = header.get("version")
-    if version != WIRE_V2_VERSION:
+    if version != WIRE_VERSION:
         raise WireError(
             f"wire version mismatch: peer speaks {version!r}, "
-            f"this end speaks {WIRE_V2_VERSION} — upgrade the older side"
+            f"this end speaks {WIRE_VERSION} — upgrade the older side"
         )
     if "payload" not in header:
         raise WireError("not a repro plan-service envelope (no payload)")
@@ -694,44 +631,19 @@ def unpack_v2(data: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# profile negotiation
-
-
-def detect_profile(data: bytes) -> str:
-    """Name the profile ``data`` is packed in, from its magic line."""
-    if data.startswith(WIRE_MAGIC):
-        return PROFILE_PICKLE
-    if data.startswith(WIRE_V2_MAGIC):
-        return PROFILE_BINARY
-    raise WireError(
-        "not a repro plan-service envelope (unrecognised magic header)"
-    )
+# profile-named forwards, kept for callers that still name a profile
 
 
 def pack_as(payload: Any, profile: str) -> bytes:
-    """Pack ``payload`` in the named profile."""
-    if profile == PROFILE_BINARY:
-        return pack_v2(payload)
-    if profile == PROFILE_PICKLE:
-        return pack(payload)
-    raise WireError(
-        f"unknown wire profile {profile!r}; this build speaks {PROFILES}"
-    )
-
-
-def unpack_any(data: bytes, allowed: Sequence[str] | None = None) -> Any:
-    """Detect a profile from the magic line, validate it, and unpack.
-
-    ``allowed`` restricts the accepted profiles — a ``--wire safe``
-    server passes ``(PROFILE_BINARY,)`` so pickle envelopes are refused
-    *before* any unpickling could happen.
-    """
-    profile = detect_profile(data)
-    if allowed is not None and profile not in allowed:
+    """Pack ``payload`` as binary-v2, the only profile there is."""
+    if profile != PROFILE_BINARY:
         raise WireError(
-            f"wire profile {profile!r} refused by this endpoint "
-            f"(accepted: {', '.join(allowed)})"
+            f"unknown wire profile {profile!r}; this build speaks only "
+            f"{PROFILE_BINARY}"
         )
-    if profile == PROFILE_BINARY:
-        return unpack_v2(data)
-    return unpack(data)
+    return pack_v2(payload)
+
+
+def unpack_any(data: bytes) -> Any:
+    """Unpack a binary-v2 envelope (same as :func:`unpack_v2`)."""
+    return unpack_v2(data)

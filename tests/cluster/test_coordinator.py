@@ -1,8 +1,8 @@
 """ClusterCoordinator against in-process workers: the acceptance contract.
 
 * the coordinator is a drop-in plan server: remote sessions pointed at
-  it reproduce local planning bit-identically (rtol=1e-12), on both
-  wire profiles, scalar and vectorised;
+  it reproduce local planning bit-identically (rtol=1e-12), scalar and
+  vectorised;
 * killing a worker mid-pool transparently reroutes to survivors with
   identical results;
 * consistent-hash keeps plans and their cache entries on one worker;
@@ -79,7 +79,7 @@ class TestFrontDoor:
         assert health["role"] == "coordinator"
         assert health["workers_alive"] == 3
         assert health["workers_total"] == 3
-        assert "binary-v2" in health["wire_profiles"]
+        assert health["wire_profiles"] == ["binary-v2"]
 
     def test_status_payload(self, coordinator):
         status = json.loads(
@@ -107,7 +107,7 @@ class TestFrontDoor:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("profile", ["pickle-v1", "binary-v2"])
+    @pytest.mark.parametrize("profile", ["binary-v2"])
     def test_remote_session_matches_local(
         self, coordinator, platform, profile
     ):
@@ -115,7 +115,8 @@ class TestEquivalence:
         address = f"{coordinator.host}:{coordinator.port}"
         from repro.service.client import RemoteBackend
 
-        backend = RemoteBackend(address, wire_profile=profile)
+        backend = RemoteBackend(address)
+        assert backend.client.wire_profile() == profile
         with PlannerSession(backend=backend, cache=False) as remote:
             actual = remote.plan_batch(requests)
         with PlannerSession(cache=False) as local:
@@ -297,11 +298,9 @@ class TestAdmissionAndErrors:
         with coord:
             from repro.service import wire
 
-            body = wire.pack_as([], wire.PROFILE_BINARY)
+            body = wire.pack_v2([])
             request = urllib.request.Request(
-                f"{coord.url}/plan_batch",
-                data=body,
-                headers={wire.PROFILE_HEADER: wire.PROFILE_BINARY},
+                f"{coord.url}/plan_batch", data=body
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request, timeout=5)
@@ -382,10 +381,6 @@ class TestMetricsAggregation:
 
 
 class TestValidation:
-    def test_bad_wire_mode(self):
-        with pytest.raises(ValueError):
-            ClusterCoordinator(wire_mode="pickle")
-
     def test_negative_reroutes(self):
         with pytest.raises(ValueError):
             ClusterCoordinator(max_reroutes=-1)

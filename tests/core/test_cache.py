@@ -142,47 +142,142 @@ class TestSQLiteStore:
         stats = store.stats
         assert (stats.hits, stats.misses) == (0, 0)
 
+    @pytest.mark.parametrize("p", [8, 32])
+    @pytest.mark.parametrize("strategy", ["het", "hom", "hom/k"])
+    def test_registered_strategies_roundtrip(self, tmp_path, strategy, p):
+        from repro.service.wire import pack_v2
+
+        speeds = np.random.default_rng(p).uniform(1.0, 10.0, size=p)
+        request = PlanRequest(
+            platform=StarPlatform.from_speeds(speeds.tolist()),
+            N=1000.0,
+            strategy=strategy,
+        )
+        key = plan_cache_key(request, registry.get("strategy", strategy))
+        result = plan_request(request)
+        store = SQLitePlanCache(tmp_path / "plans.db")
+        store.put(key, result)
+        assert pack_v2(store.get(key)) == pack_v2(result)
+        store.close()
+        fresh = SQLitePlanCache(tmp_path / "plans.db")
+        assert pack_v2(fresh.get(key)) == pack_v2(result)
+        fresh.close()
+
+    def test_pickle_era_row_is_a_miss_then_overwritten(self, tmp_path):
+        store = SQLitePlanCache(tmp_path / "plans.db")
+        key, result = make_entry(500.0)
+        store._connection().execute(
+            "INSERT INTO plans (key, value, created_at, last_used)"
+            " VALUES (?, ?, 0, 0)",
+            (encode_key(key), pickle.dumps(result)),
+        )
+        assert store.get(key) is None
+        assert store.get(key) is None
+        stats = store.stats
+        assert (stats.hits, stats.misses) == (0, 2)
+        store.put(key, result)
+        assert results_equal(store.get(key), result)
+        stats = store.stats
+        assert stats.hits + stats.misses == 3
+        assert len(store) == 1
+
+    def test_unencodable_result_names_the_type(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.service.wire import WireError
+
+        class Exotic:
+            pass
+
+        key, result = make_entry(500.0)
+        plan = replace(result.plan, detail={"x": Exotic()})
+        store = SQLitePlanCache(tmp_path / "plans.db")
+        with pytest.raises(WireError, match="Exotic"):
+            store.put(key, replace(result, plan=plan))
+        assert len(store) == 0
+
     def test_export_import_moves_entries(self, tmp_path):
         src = SQLitePlanCache(tmp_path / "src.db")
         entries = [make_entry(n) for n in (1.0, 2.0, 3.0)]
         for key, result in entries:
             src.put(key, result)
-        out = tmp_path / "dump.pkl"
+        out = tmp_path / "dump.bin"
         assert src.export_file(out) == 3
         dst = SQLitePlanCache(tmp_path / "dst.db")
         assert dst.import_file(out) == 3
+        query = "SELECT * FROM plans ORDER BY key"
+        rows = dst._connection().execute(query).fetchall()
+        assert rows == src._connection().execute(query).fetchall()
         for key, result in entries:
             assert results_equal(dst.get(key), result)
 
     def test_import_rejects_foreign_files_before_unpickling(self, tmp_path):
-        """No header → rejected without ever reaching pickle.load."""
-        bogus = tmp_path / "bogus.pkl"
-        bogus.write_bytes(pickle.dumps({"rows": []}))
-        store = SQLitePlanCache(tmp_path / "plans.db")
-        with pytest.raises(ValueError, match="missing header"):
-            store.import_file(bogus)
+        """A pickle — bare or a pickle-era export — is never unpickled."""
 
-    def test_import_rejects_malformed_payloads(self, tmp_path):
-        from repro.core.cache import _EXPORT_MAGIC
+        class Marker:
+            def __reduce__(self):
+                return (open, (str(tmp_path / "unpickled"), "w"))
 
+        payload = {"format": "repro-plan-cache", "version": 1,
+                   "rows": [], "marker": Marker()}
         store = SQLitePlanCache(tmp_path / "plans.db")
         for body in (
-            b"not a pickle at all",
-            pickle.dumps({"format": "repro-plan-cache", "version": 1}),
-            pickle.dumps(
-                {
-                    "format": "repro-plan-cache",
-                    "version": 1,
-                    "rows": [("too", "short")],
-                }
-            ),
-            pickle.dumps({"format": "repro-plan-cache", "version": 99}),
-            pickle.dumps(["not", "a", "dict"]),
+            pickle.dumps(payload),
+            b"repro-plan-cache:v1\n" + pickle.dumps(payload),
         ):
-            bad = tmp_path / "bad.pkl"
-            bad.write_bytes(_EXPORT_MAGIC + body)
+            bogus = tmp_path / "bogus.pkl"
+            bogus.write_bytes(body)
+            with pytest.raises(ValueError, match="not a repro plan-cache"):
+                store.import_file(bogus)
+        assert not (tmp_path / "unpickled").exists()
+
+    def test_import_rejects_malformed_payloads(self, tmp_path):
+        from repro.service.wire import pack_v2
+
+        store = SQLitePlanCache(tmp_path / "plans.db")
+        good_row = ("digest", b"blob", 0.0, 0.0)
+        for payload in (
+            {"format": "repro-plan-cache", "version": 2},
+            {"format": "repro-plan-cache", "version": 2,
+             "rows": [("too", "short")]},
+            {"format": "repro-plan-cache", "version": 2,
+             "rows": [("digest", "not bytes", 0.0, 0.0)]},
+            {"format": "repro-plan-cache", "version": 2,
+             "rows": [good_row, ("digest", b"blob", "then", 0.0)]},
+            {"format": "repro-plan-cache", "version": 2, "rows": (good_row,)},
+            {"format": "repro-plan-cache", "version": 1, "rows": [good_row]},
+            {"format": "repro-plan-cache", "version": 99},
+            {"format": "something-else", "version": 2, "rows": []},
+            ["not", "a", "dict"],
+        ):
+            bad = tmp_path / "bad.bin"
+            bad.write_bytes(pack_v2(payload))
             with pytest.raises(ValueError):
                 store.import_file(bad)
+        assert len(store) == 0
+
+    def test_damaged_exports_only_ever_raise_value_error(self, tmp_path):
+        src = SQLitePlanCache(tmp_path / "src.db")
+        key, result = make_entry(1.0, strategy="hom")
+        src.put(key, result)
+        out = tmp_path / "dump.bin"
+        src.export_file(out)
+        data = out.read_bytes()
+        store = SQLitePlanCache(tmp_path / "dst.db")
+        damaged = tmp_path / "damaged.bin"
+        for cut in range(len(data)):
+            damaged.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                store.import_file(damaged)
+        assert len(store) == 0
+        for pos in range(len(data)):
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << (pos % 8)
+            damaged.write_bytes(bytes(flipped))
+            try:
+                store.import_file(damaged)
+            except ValueError:
+                pass  # refused cleanly: the only acceptable failure
 
     def test_tilde_path_expanded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))

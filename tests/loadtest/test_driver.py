@@ -194,7 +194,6 @@ class TestCrossCheck:
     def test_mismatch_fails_the_verdict(self):
         report = LoadtestReport(
             target="http://x",
-            wire_profile="binary-v2",
             seed=1,
             threads=1,
             target_rps=1.0,
@@ -224,7 +223,6 @@ class TestCrossCheck:
     def test_error_budget_breach_fails(self):
         report = LoadtestReport(
             target="http://x",
-            wire_profile="binary-v2",
             seed=1,
             threads=1,
             target_rps=1.0,
@@ -245,7 +243,6 @@ class TestCrossCheck:
     def test_429s_not_budgeted(self):
         report = LoadtestReport(
             target="http://x",
-            wire_profile="binary-v2",
             seed=1,
             threads=1,
             target_rps=1.0,

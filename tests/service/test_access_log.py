@@ -73,7 +73,7 @@ class TestAccessLog:
     def test_records_to_stream(self):
         buf = io.StringIO()
         log = AccessLog(buf)
-        log.record("/plan", 200, 0.002, wire="pickle-v1", nbytes=10)
+        log.record("/plan", 200, 0.002, wire="binary-v2", nbytes=10)
         log.record("/plan", 500, 0.004)
         assert log.lines_written == 2
         lines = buf.getvalue().splitlines()
@@ -129,7 +129,7 @@ class TestServerHook:
             assert metrics[endpoint]["count"] == len(entries)
         plan_lines = by_endpoint["/plan"]
         assert plan_lines[0]["status"] == 200
-        assert plan_lines[0]["wire"] in ("pickle-v1", "binary-v2")
+        assert plan_lines[0]["wire"] == "binary-v2"
         assert plan_lines[0]["bytes"] > 0
         # the unknown path is logged under the bounded "other" bucket
         assert by_endpoint["other"][0]["status"] == 404

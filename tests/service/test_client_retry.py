@@ -31,26 +31,13 @@ from repro.service.client import (
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Answers POSTs from a canned script; GET /healthz is always real."""
+    """Answers POSTs from a canned script."""
 
     protocol_version = "HTTP/1.0"  # one connection per request: a
     # dropped connection only loses the attempt it was scripted to lose
 
     def log_message(self, *args):  # noqa: D102 - silence test output
         pass
-
-    def do_GET(self):
-        if self.path != "/healthz":
-            self.send_error(404)
-            return
-        body = json.dumps(
-            {"status": "ok", "wire_profiles": list(wire.PROFILES)}
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length") or 0)
@@ -64,7 +51,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             return
         status = step["status"]
         if status == 200:
-            body = wire.pack_as(step.get("payload", "pong"), wire.PROFILE_BINARY)
+            body = wire.pack_v2(step.get("payload", "pong"))
             content_type = wire.CONTENT_TYPE
         else:
             body = json.dumps(
@@ -97,7 +84,6 @@ def stub():
 
 def _client(stub, **kwargs):
     host, port = stub.server_address
-    kwargs.setdefault("wire_profile", wire.PROFILE_BINARY)
     kwargs.setdefault("timeout", 5.0)
     return ServiceClient(f"{host}:{port}", **kwargs)
 
@@ -243,10 +229,7 @@ class TestTransportPath:
         port = probe.getsockname()[1]
         probe.close()
         client = ServiceClient(
-            f"127.0.0.1:{port}",
-            retries=1,
-            retry_wait=0.02,
-            wire_profile=wire.PROFILE_BINARY,
+            f"127.0.0.1:{port}", retries=1, retry_wait=0.02
         )
         with pytest.raises(PlanServiceUnavailable) as err:
             client.post("/plan", "req")

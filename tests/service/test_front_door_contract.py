@@ -4,12 +4,13 @@ One module, parametrised over a :class:`PlanServer` and a
 :class:`ClusterCoordinator` in front of in-process ``PlanServer``
 workers, pins what a client sees whichever of the two answers it:
 
-* ``wire_mode="safe"`` refuses a pickle-v1 envelope with a 400 before
-  anything is unpickled;
+* a pickle-v1 envelope on any envelope route is a 400 before anything
+  is unpickled;
+* ``/cache/put`` stores nothing but a ``(key, PlanResult)`` pair, so no
+  client can poison the plans every other client is served;
 * unknown GET and POST paths are 404s counted under ``other``;
 * ``/metrics`` speaks JSON and Prometheus and 400s any other format;
 * an admission limit of zero answers 429 with ``Retry-After``;
-* every response advertises the accepted wire profiles;
 * a request is visible in ``/metrics`` once its client holds the answer;
 * after ``close()`` nothing is answered, not even on a kept-alive
   connection a client already holds;
@@ -28,12 +29,18 @@ import urllib.request
 
 import pytest
 
+from repro import registry
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.core.pipeline import PlanRequest
+from repro.core.cache import plan_cache_key
+from repro.core.pipeline import PlanRequest, PlanResult
 from repro.loadtest.report import frontdoor_metrics
 from repro.platform.star import StarPlatform
 from repro.service import wire
-from repro.service.client import PlanServiceUnavailable, ServiceClient
+from repro.service.client import (
+    PlanServiceError,
+    PlanServiceUnavailable,
+    ServiceClient,
+)
 from repro.service.server import PlanServer
 
 KINDS = ("server", "coordinator")
@@ -99,28 +106,60 @@ def _plan_request():
 
 
 class TestSafeWire:
-    @pytest.mark.parametrize("route", ["/plan", "/plan_batch", "/cache/get"])
-    @pytest.mark.parametrize("announce", [True, False])
+    @pytest.mark.parametrize(
+        "route", ["/plan", "/plan_batch", "/cache/get", "/cache/put"]
+    )
     def test_pickle_envelope_is_400_and_never_unpickled(
-        self, make_front, tmp_path, route, announce
+        self, make_front, tmp_path, route
     ):
-        front = make_front(wire_mode="safe")
+        front = make_front()
         marker = tmp_path / "unpickled"
-        body = wire.WIRE_MAGIC + pickle.dumps(_Marker(str(marker)))
-        headers = {wire.PROFILE_HEADER: wire.PROFILE_PICKLE} if announce else {}
-        status, _, data = call(f"{front.url}{route}", body, headers)
+        body = b"repro-plan-wire:v1\n" + pickle.dumps(_Marker(str(marker)))
+        status, _, data = call(f"{front.url}{route}", body)
         assert status == 400
-        assert "refused" in json.loads(data)["error"]
+        assert "not a repro plan-service envelope" in json.loads(data)["error"]
         assert not marker.exists()
 
     def test_safe_front_still_plans_binary(self, make_front):
-        front = make_front(wire_mode="safe")
+        front = make_front()
         body = wire.pack_v2(_plan_request())
-        status, _, data = call(
-            f"{front.url}/plan", body, {wire.PROFILE_HEADER: wire.PROFILE_BINARY}
-        )
+        status, _, data = call(f"{front.url}/plan", body)
         assert status == 200
         assert wire.unpack_v2(data).plan.strategy == "hom"
+
+
+class TestCachePut:
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            ("poison", "(key, PlanResult)"),
+            (("k", "poison"), "(key, PlanResult)"),
+            (("k",), "(key, PlanResult)"),
+            (("k", "v", "w"), "(key, PlanResult)"),
+            (
+                ("k", PlanResult(request="x", plan="y", elapsed_s=0.0)),
+                "must hold a PlanRequest and a StrategyResult",
+            ),
+        ],
+        ids=["bare", "non-result", "short", "long", "hollow-result"],
+    )
+    def test_only_plan_results_are_stored(self, make_front, entry, error):
+        front = make_front()
+        status, _, data = call(f"{front.url}/cache/put", wire.pack_v2(entry))
+        assert status == 400
+        assert error in json.loads(data)["error"]
+
+    def test_poisoned_put_leaves_plan_working(self, make_front):
+        front = make_front()
+        request = _plan_request()
+        key = plan_cache_key(request, registry.get("strategy", "hom"))
+        client = ServiceClient(front.url, retries=0)
+        with pytest.raises(PlanServiceError) as err:
+            client.cache_put(key, "poison")
+        assert err.value.code == 400
+        for _ in range(2):  # a miss that plans, then a hit
+            assert isinstance(client.plan(request), PlanResult)
+        client.close()
 
 
 class TestUnknownPaths:
@@ -135,11 +174,7 @@ class TestUnknownPaths:
 
     def test_unknown_post_is_404_counted_as_other(self, make_front):
         front = make_front()
-        status, _, _ = call(
-            f"{front.url}/no/such/thing",
-            b"",
-            {wire.PROFILE_HEADER: wire.PROFILE_BINARY},
-        )
+        status, _, _ = call(f"{front.url}/no/such/thing", b"")
         assert status == 404
         assert own_endpoints(front)["other"]["count"] == 1
 
@@ -179,9 +214,7 @@ class TestAdmission:
         front = make_front(max_inflight=0, retry_after=0.25)
         payload = _plan_request() if route == "/plan" else [_plan_request()]
         status, headers, data = call(
-            f"{front.url}{route}",
-            wire.pack_v2(payload),
-            {wire.PROFILE_HEADER: wire.PROFILE_BINARY},
+            f"{front.url}{route}", wire.pack_v2(payload)
         )
         assert status == 429
         assert headers["Retry-After"] == "0.25"
@@ -191,33 +224,12 @@ class TestAdmission:
         assert own_endpoints(front)[route]["errors"] == 1
 
 
-class TestHeaders:
-    def test_every_response_carries_the_profile_header(self, make_front):
-        front = make_front(max_inflight=0)
-        v2 = {wire.PROFILE_HEADER: wire.PROFILE_BINARY}
-        responses = [
-            call(f"{front.url}/healthz"),  # 200 JSON
-            call(f"{front.url}/metrics?format=prometheus"),  # 200 text
-            call(f"{front.url}/nope"),  # 404
-            call(f"{front.url}/metrics?format=xml"),  # 400
-            call(f"{front.url}/cache/get", b"junk", v2),  # 400 bad envelope
-            call(f"{front.url}/plan", wire.pack_v2(_plan_request()), v2),  # 429
-        ]
-        assert [status for status, _, _ in responses] == [
-            200, 200, 404, 400, 400, 429
-        ]
-        for _, headers, _ in responses:
-            assert headers[wire.PROFILE_HEADER] == ",".join(wire.PROFILES)
-            assert headers[wire.VERSION_HEADER] == str(wire.WIRE_VERSION)
-
-
 class TestObserveBeforeWrite:
     def test_answered_request_is_already_counted(self, make_front):
         front = make_front()
         body = wire.pack_v2(_plan_request())
-        v2 = {wire.PROFILE_HEADER: wire.PROFILE_BINARY}
         for expected in range(1, 21):
-            assert call(f"{front.url}/plan", body, v2)[0] == 200
+            assert call(f"{front.url}/plan", body)[0] == 200
             # read in-process the moment the answer is in hand: no later
             # request can have nudged the counter first
             counts = front.metrics.payload()["endpoints"]

@@ -320,8 +320,7 @@ class TestServerAdmission:
             request = PlanRequest(platform=platform, N=10.0, strategy="het")
             raw = urllib.request.Request(
                 f"{server.url}/plan",
-                data=wire.pack_as(request, wire.PROFILE_BINARY),
-                headers={wire.PROFILE_HEADER: wire.PROFILE_BINARY},
+                data=wire.pack_v2(request),
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(raw, timeout=5)

@@ -72,7 +72,7 @@ class TestHealthAndStats:
     def test_healthz(self, server):
         health = ServiceClient(f"{server.host}:{server.port}").healthz()
         assert health["status"] == "ok"
-        assert health["wire_version"] == 1
+        assert health["wire_version"] == 2
         assert health["backend"] == "serial"
 
     def test_cache_stats_endpoint_is_plain_json(self, server):

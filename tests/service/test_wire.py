@@ -1,5 +1,6 @@
-"""Tests for the versioned service wire format."""
+"""Tests for the service's one wire format, binary-v2."""
 
+import inspect
 import json
 import pickle
 
@@ -10,54 +11,62 @@ from repro.service import wire
 
 
 class TestEnvelope:
+    """The envelope, through the profile-named forwards callers still use."""
+
     def test_roundtrip(self):
         payload = {"anything": [1, 2.5, "three"], "nested": (None, True)}
-        assert wire.unpack(wire.pack(payload)) == payload
+        data = wire.pack_as(payload, wire.PROFILE_BINARY)
+        assert wire.unpack_any(data) == payload
 
     def test_magic_prefix_present(self):
-        assert wire.pack(1).startswith(wire.WIRE_MAGIC)
+        data = wire.pack_as(1, wire.PROFILE_BINARY)
+        assert data.startswith(wire.WIRE_MAGIC)
 
     def test_rejects_arbitrary_bytes_without_unpickling(self):
-        # a pickle bomb without the magic header must fail on the header
-        # check alone — Bomb.__reduce__ would raise if it ever ran
+        # a pickle bomb must fail on the magic check alone —
+        # Bomb.__reduce__ would raise if it ever ran
         class Bomb:
             def __reduce__(self):
                 return (pytest.fail, ("unpickled a non-envelope body!",))
 
         with pytest.raises(wire.WireError, match="missing"):
-            wire.unpack(pickle.dumps(Bomb()))
+            wire.unpack_any(pickle.dumps(Bomb()))
 
     def test_rejects_truncated_envelope(self):
-        data = wire.pack(["payload"])
-        with pytest.raises(wire.WireError, match="undecodable"):
-            wire.unpack(data[: len(wire.WIRE_MAGIC) + 4])
+        data = wire.pack_as(["payload"], wire.PROFILE_BINARY)
+        with pytest.raises(wire.WireError, match="truncated"):
+            wire.unpack_any(data[: len(wire.WIRE_MAGIC) + 4])
 
     def test_rejects_wrong_format_field(self):
-        body = wire.WIRE_MAGIC + pickle.dumps(
-            {"format": "something-else", "version": wire.WIRE_VERSION,
-             "payload": 1}
+        body = _envelope(
+            {"format": "something-else", "version": 2, "payload": 1}
         )
         with pytest.raises(wire.WireError, match="bad format"):
-            wire.unpack(body)
+            wire.unpack_any(body)
 
     def test_rejects_version_mismatch_both_directions(self):
         for version in (wire.WIRE_VERSION - 1, wire.WIRE_VERSION + 1):
-            body = wire.WIRE_MAGIC + pickle.dumps(
+            body = _envelope(
                 {"format": wire.WIRE_FORMAT, "version": version, "payload": 1}
             )
             with pytest.raises(wire.WireError, match="version mismatch"):
-                wire.unpack(body)
+                wire.unpack_any(body)
 
     def test_rejects_missing_payload(self):
-        body = wire.WIRE_MAGIC + pickle.dumps(
-            {"format": wire.WIRE_FORMAT, "version": wire.WIRE_VERSION}
-        )
+        body = _envelope({"format": wire.WIRE_FORMAT, "version": 2})
         with pytest.raises(wire.WireError, match="no payload"):
-            wire.unpack(body)
+            wire.unpack_any(body)
 
     def test_none_payload_is_legal(self):
         # /cache/get misses return an envelope whose payload is None
-        assert wire.unpack(wire.pack(None)) is None
+        data = wire.pack_as(None, wire.PROFILE_BINARY)
+        assert wire.unpack_any(data) is None
+
+
+def _envelope(header_dict):
+    """A hand-built envelope whose JSON header is ``header_dict``."""
+    header = json.dumps(header_dict).encode()
+    return wire.WIRE_MAGIC + len(header).to_bytes(8, "big") + header
 
 
 def _sample_platform():
@@ -201,7 +210,7 @@ class TestBinaryEnvelope:
             for n in (500, 1000)
             for s in ("hom", "het")
         ]
-        assert len(wire.pack_v2(results)) < len(wire.pack(results))
+        assert len(wire.pack_v2(results)) < len(pickle.dumps(results))
 
 
 class TestBinaryRejection:
@@ -228,7 +237,7 @@ class TestBinaryRejection:
         data = bytearray(wire.pack_v2(payload))
         rng = np.random.default_rng(2013)
         for _ in range(200):
-            pos = int(rng.integers(len(wire.WIRE_V2_MAGIC), len(data)))
+            pos = int(rng.integers(len(wire.WIRE_MAGIC), len(data)))
             flipped = bytearray(data)
             flipped[pos] ^= int(rng.integers(1, 256))
             try:
@@ -238,20 +247,14 @@ class TestBinaryRejection:
 
     def test_rejects_garbled_header_json(self):
         header = b'{"format": nonsense'
-        body = (
-            wire.WIRE_V2_MAGIC + len(header).to_bytes(8, "big") + header
-        )
+        body = wire.WIRE_MAGIC + len(header).to_bytes(8, "big") + header
         with pytest.raises(wire.WireError, match="undecodable"):
             wire.unpack_v2(body)
-
-    def _envelope(self, header_dict):
-        header = json.dumps(header_dict).encode()
-        return wire.WIRE_V2_MAGIC + len(header).to_bytes(8, "big") + header
 
     def test_rejects_wrong_format_field(self):
         with pytest.raises(wire.WireError, match="bad format"):
             wire.unpack_v2(
-                self._envelope(
+                _envelope(
                     {"format": "nope", "version": 2, "payload": 1}
                 )
             )
@@ -260,7 +263,7 @@ class TestBinaryRejection:
         for version in (1, 3):
             with pytest.raises(wire.WireError, match="version mismatch"):
                 wire.unpack_v2(
-                    self._envelope(
+                    _envelope(
                         {
                             "format": wire.WIRE_FORMAT,
                             "version": version,
@@ -271,7 +274,7 @@ class TestBinaryRejection:
 
     def test_rejects_frame_geometry_lies(self):
         # header claims 100 floats but supplies none
-        bad = self._envelope(
+        bad = _envelope(
             {
                 "format": wire.WIRE_FORMAT,
                 "version": 2,
@@ -282,7 +285,7 @@ class TestBinaryRejection:
         with pytest.raises(wire.WireError, match="cut short"):
             wire.unpack_v2(bad)
         # ... and a shape/nbytes contradiction
-        bad = self._envelope(
+        bad = _envelope(
             {
                 "format": wire.WIRE_FORMAT,
                 "version": 2,
@@ -294,7 +297,7 @@ class TestBinaryRejection:
             wire.unpack_v2(bad)
 
     def test_rejects_object_dtype_frames(self):
-        bad = self._envelope(
+        bad = _envelope(
             {
                 "format": wire.WIRE_FORMAT,
                 "version": 2,
@@ -308,7 +311,7 @@ class TestBinaryRejection:
     def test_rejects_unknown_tag(self):
         with pytest.raises(wire.WireError, match="unknown binary-v2 node"):
             wire.unpack_v2(
-                self._envelope(
+                _envelope(
                     {
                         "format": wire.WIRE_FORMAT,
                         "version": 2,
@@ -325,40 +328,87 @@ class TestBinaryRejection:
         class Opaque:
             pass
 
-        with pytest.raises(wire.WireError, match="pickle-v1"):
+        with pytest.raises(
+            wire.WireError, match="Opaque payloads; keep custom params"
+        ):
             wire.pack_v2(Opaque())
 
 
 class TestProfileNegotiationHelpers:
-    def test_detect_profile(self):
-        assert wire.detect_profile(wire.pack(1)) == wire.PROFILE_PICKLE
-        assert wire.detect_profile(wire.pack_v2(1)) == wire.PROFILE_BINARY
-        with pytest.raises(wire.WireError, match="unrecognised"):
-            wire.detect_profile(b"GET / HTTP/1.1")
+    """``pack_as`` / ``unpack_any`` name a profile; binary-v2 is the one."""
 
-    @pytest.mark.parametrize("profile", wire.PROFILES)
+    @pytest.mark.parametrize("profile", [wire.PROFILE_BINARY])
     def test_pack_as_roundtrips_through_unpack_any(self, profile):
         payload = {"xs": (1, 2.5), "s": "ok"}
         data = wire.pack_as(payload, profile)
-        assert wire.detect_profile(data) == profile
+        assert data == wire.pack_v2(payload)
         assert wire.unpack_any(data) == payload
 
     def test_pack_as_rejects_unknown_profile(self):
-        with pytest.raises(wire.WireError, match="unknown wire profile"):
-            wire.pack_as(1, "msgpack-v9")
+        for profile in ("msgpack-v9", "pickle-v1"):
+            with pytest.raises(wire.WireError, match="unknown wire profile"):
+                wire.pack_as(1, profile)
 
     def test_unpack_any_refuses_disallowed_profile_before_unpickling(self):
         class Bomb:
             def __reduce__(self):
-                return (pytest.fail, ("safe mode unpickled anyway!",))
+                return (pytest.fail, ("unpack_any unpickled a body!",))
 
-        data = wire.WIRE_MAGIC + pickle.dumps(Bomb())
-        with pytest.raises(wire.WireError, match="refused"):
-            wire.unpack_any(data, allowed=(wire.PROFILE_BINARY,))
+        # a pickle-v1 envelope: its own magic line, then the pickle
+        data = b"repro-plan-wire:v1\n" + pickle.dumps(Bomb())
+        with pytest.raises(wire.WireError, match="missing"):
+            wire.unpack_any(data)
 
-    def test_unpack_any_allows_listed_profiles(self):
-        data = wire.pack_v2([1, 2])
-        assert wire.unpack_any(data, allowed=(wire.PROFILE_BINARY,)) == [1, 2]
 
-    def test_profiles_prefer_binary(self):
-        assert wire.PROFILES[0] == wire.PROFILE_BINARY
+def _default_params(factory):
+    """The keyword defaults ``factory`` declares, as request params."""
+    return {
+        name: param.default
+        for name, param in inspect.signature(factory).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+
+
+class TestRegisteredStrategies:
+    """Every registered strategy's plans survive the one format exactly."""
+
+    @pytest.mark.parametrize("p", [8, 32])
+    @pytest.mark.parametrize("strategy", ["het", "hom", "hom/k"])
+    def test_result_roundtrips_bit_identically(self, strategy, p):
+        from repro.core.pipeline import PlanRequest, plan_request
+        from repro.platform.star import StarPlatform
+
+        speeds = np.random.default_rng(p).uniform(1.0, 10.0, size=p)
+        request = PlanRequest(
+            platform=StarPlatform.from_speeds(speeds.tolist()),
+            N=1000.0,
+            strategy=strategy,
+        )
+        result = plan_request(request)
+        data = wire.pack_v2(result)
+        out = wire.unpack_v2(data)
+        assert wire.pack_v2(out) == data
+        assert out.request == request
+        assert out.plan.comm_volume == result.plan.comm_volume
+        assert out.plan.imbalance == result.plan.imbalance
+        finish = out.plan.finish_times
+        assert finish.dtype == result.plan.finish_times.dtype
+        assert finish.tobytes() == result.plan.finish_times.tobytes()
+        assert sorted(out.plan.detail) == sorted(result.plan.detail)
+
+    @pytest.mark.parametrize("strategy", ["het", "hom", "hom/k"])
+    def test_default_params_keep_the_cache_key(self, strategy):
+        from repro import registry
+        from repro.core.cache import plan_cache_key
+        from repro.core.pipeline import PlanRequest
+
+        factory = registry.get("strategy", strategy)
+        request = PlanRequest(
+            platform=_sample_platform(),
+            N=1000.0,
+            strategy=strategy,
+            params=_default_params(factory),
+        )
+        out = wire.unpack_v2(wire.pack_v2(request))
+        assert out == request
+        assert plan_cache_key(out, factory) == plan_cache_key(request, factory)

@@ -1,50 +1,34 @@
-"""Cross-profile service tests: pickle-v1 and binary-v2 interchangeably.
+"""The service speaks one wire format, binary-v2, and nothing else.
 
 The acceptance contract:
 
-* the same :class:`PlanRequest` posted through a pickle-v1 client and a
-  binary-v2 client returns bit-identical :class:`PlanResult`\\ s;
-* cache entries are profile-agnostic — stored through one profile,
-  served through the other;
-* ``/healthz`` advertises the server's profiles and the client
-  handshake negotiates (or refuses) *before* shipping payloads: a
-  pickle-v1 client against a ``--wire safe`` server fails with a clear
-  :class:`PlanServiceError`;
-* raw hostile bodies (wrong profile, truncated v2 frames, garbage) get
-  a 400 with the wire layer's message, never a hung or crashed server.
+* ``/healthz`` advertises ``["binary-v2"]`` and wire version 2, so a
+  client that still negotiates picks it;
+* a client needs no handshake: it packs binary-v2 from the first call
+  and refuses to be built for any other profile;
+* remote planning over binary-v2 is bit-identical to local planning;
+* raw hostile bodies (a pickle, truncated v2 frames, garbage) get a
+  400 with the wire layer's message, never a hung or crashed server.
 """
 
+import pickle
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
-from repro import registry
-from repro.core.cache import plan_cache_key
 from repro.core.pipeline import PlanRequest, plan_request
 from repro.core.session import PlannerSession
-from repro.core.vectorize import VectorGroup
 from repro.platform.star import StarPlatform
 from repro.service import wire
-from repro.service.client import (
-    HTTPPlanCache,
-    PlanServiceError,
-    RemoteBackend,
-    ServiceClient,
-)
+from repro.service.client import RemoteBackend, ServiceClient
 from repro.service.server import PlanServer
 
 
 @pytest.fixture()
 def server():
     with PlanServer(port=0, cache="memory") as srv:
-        yield srv
-
-
-@pytest.fixture()
-def safe_server():
-    with PlanServer(port=0, cache="memory", wire_mode="safe") as srv:
         yield srv
 
 
@@ -74,89 +58,45 @@ def raw_post(url, body, headers=None):
 class TestHandshake:
     def test_healthz_advertises_profiles(self, server):
         health = ServiceClient(server.url).healthz()
-        assert health["wire_profiles"] == list(wire.PROFILES)
-        assert health["wire_mode"] == "auto"
+        assert health["wire_version"] == wire.WIRE_VERSION == 2
+        assert "wire_profiles" in health
+        assert "wire_mode" not in health
 
-    def test_safe_server_advertises_binary_only(self, safe_server):
-        health = ServiceClient(safe_server.url).healthz()
+    def test_safe_server_advertises_binary_only(self, server):
+        health = ServiceClient(server.url).healthz()
         assert health["wire_profiles"] == [wire.PROFILE_BINARY]
-        assert health["wire_mode"] == "safe"
 
-    def test_auto_client_negotiates_binary(self, server):
-        client = ServiceClient(server.url)
+    def test_auto_client_negotiates_binary(self):
+        # nothing listens on port 9: the answer needs no I/O
+        client = ServiceClient("127.0.0.1:9", retries=0)
         assert client.wire_profile() == wire.PROFILE_BINARY
 
-    @pytest.mark.parametrize("profile", wire.PROFILES)
+    @pytest.mark.parametrize("profile", [wire.PROFILE_BINARY])
     def test_explicit_profile_honoured(self, server, profile):
         client = ServiceClient(server.url, wire_profile=profile)
         assert client.wire_profile() == profile
 
-    def test_env_var_picks_the_profile(self, server, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", wire.PROFILE_PICKLE)
-        assert ServiceClient(server.url).wire_profile() == wire.PROFILE_PICKLE
-
     def test_unknown_profile_rejected_at_construction(self, server):
-        with pytest.raises(ValueError, match="unknown wire profile"):
-            ServiceClient(server.url, wire_profile="msgpack-v9")
+        for profile in ("msgpack-v9", "auto"):
+            with pytest.raises(ValueError, match="unknown wire profile"):
+                ServiceClient(server.url, wire_profile=profile)
 
-    def test_pickle_client_vs_safe_server_fails_clearly(
-        self, safe_server, platform
-    ):
-        client = ServiceClient(
-            safe_server.url, wire_profile=wire.PROFILE_PICKLE
-        )
-        request = PlanRequest(platform=platform, N=100.0, strategy="hom")
-        with pytest.raises(PlanServiceError, match="--wire safe"):
-            client.plan(request)
+    def test_pickle_client_vs_safe_server_fails_clearly(self, server):
+        with pytest.raises(ValueError, match="the only one is 'binary-v2'"):
+            ServiceClient(server.url, wire_profile="pickle-v1")
 
-    def test_auto_client_vs_safe_server_works(self, safe_server, platform):
-        client = ServiceClient(safe_server.url)
+    def test_auto_client_vs_safe_server_works(self, server, platform):
+        client = ServiceClient(server.url)
         result = client.plan(
             PlanRequest(platform=platform, N=100.0, strategy="hom")
         )
-        assert client.wire_profile() == wire.PROFILE_BINARY
         assert result.plan.strategy == "hom"
-
-    def test_server_echoes_profiles_header(self, server):
-        with urllib.request.urlopen(f"{server.url}/healthz") as resp:
-            advertised = resp.headers[wire.PROFILE_HEADER]
-        assert advertised == ",".join(wire.PROFILES)
-
-    def test_wire_mode_validated(self):
-        with pytest.raises(ValueError, match="wire_mode"):
-            PlanServer(port=0, wire_mode="paranoid")
+        # no handshake: the first planning call was the first request
+        assert "/healthz" not in server.metrics.payload()["endpoints"]
 
 
 class TestCrossProfileEquivalence:
-    def test_same_request_same_plan_both_profiles(self, server, platform):
-        requests = [
-            PlanRequest(platform=platform, N=float(n), strategy=s)
-            for n in (500, 1000, 2000)
-            for s in ("hom", "het", "hom/k")
-        ]
-        v1 = ServiceClient(server.url, wire_profile=wire.PROFILE_PICKLE)
-        v2 = ServiceClient(server.url, wire_profile=wire.PROFILE_BINARY)
-        for request in requests:
-            assert_results_identical(v1.plan(request), v2.plan(request))
-
-    def test_plan_items_with_vector_groups_both_profiles(
-        self, server, platform
-    ):
-        group = VectorGroup(
-            strategy="hom",
-            requests=tuple(
-                PlanRequest(platform=platform, N=float(n), strategy="hom")
-                for n in (100, 300, 900)
-            ),
-        )
-        v1 = ServiceClient(server.url, wire_profile=wire.PROFILE_PICKLE)
-        v2 = ServiceClient(server.url, wire_profile=wire.PROFILE_BINARY)
-        (a,) = v1.plan_items([group])
-        (b,) = v2.plan_items([group])
-        for ra, rb in zip(a, b):
-            assert_results_identical(ra, rb)
-
-    @pytest.mark.parametrize("profile", wire.PROFILES)
+    @pytest.mark.parametrize("profile", [wire.PROFILE_BINARY])
     def test_remote_backend_matches_local(self, server, platform, profile):
         requests = [
             PlanRequest(platform=platform, N=float(n), strategy=s)
@@ -165,74 +105,52 @@ class TestCrossProfileEquivalence:
         ]
         with PlannerSession(cache=False) as local:
             expected = local.plan_batch(requests)
-        backend = RemoteBackend(server.url, wire_profile=profile)
+        backend = RemoteBackend(server.url)
+        assert backend.client.wire_profile() == profile
         got = backend.map(plan_request, requests)
         for e, g in zip(expected, got):
             assert_results_identical(e, g)
-
-    def test_cache_entries_are_profile_agnostic(self, server, platform):
-        request = PlanRequest(platform=platform, N=750.0, strategy="het")
-        key = plan_cache_key(request, registry.get("strategy", "het"))
-        result = plan_request(request)
-        writer = HTTPPlanCache(server.url, wire_profile=wire.PROFILE_BINARY)
-        reader = HTTPPlanCache(server.url, wire_profile=wire.PROFILE_PICKLE)
-        writer.put(key, result)
-        served = reader.get(key)
-        assert served is not None
-        assert_results_identical(result, served)
-        # ... and the other direction
-        reader.clear()
-        reader.put(key, result)
-        assert_results_identical(result, writer.get(key))
 
 
 class TestRawBodies:
     """Hostile / mismatched bodies straight at the endpoints."""
 
-    def _plan_body(self, platform, profile):
+    def _plan_body(self, platform):
         request = PlanRequest(platform=platform, N=100.0, strategy="hom")
-        return wire.pack_as(request, profile)
+        return wire.pack_v2(request)
 
     def test_profile_inferred_from_body_magic(self, server, platform):
-        # no X-Repro-Wire header at all: the server sniffs the magic
-        # line and answers in kind
-        body = self._plan_body(platform, wire.PROFILE_BINARY)
+        # no header names the format: the body's magic line is all
+        # the server reads, and it answers in binary-v2
+        body = self._plan_body(platform)
         status, headers, data = raw_post(f"{server.url}/plan", body)
         assert status == 200
         result = wire.unpack_v2(data)
         assert result.plan.strategy == "hom"
 
     def test_response_profile_matches_request(self, server, platform):
-        for profile in wire.PROFILES:
-            body = self._plan_body(platform, profile)
-            _, _, data = raw_post(
-                f"{server.url}/plan",
-                body,
-                {wire.PROFILE_HEADER: profile},
-            )
-            assert wire.detect_profile(data) == profile
+        _, headers, data = raw_post(
+            f"{server.url}/plan", self._plan_body(platform)
+        )
+        assert headers["Content-Type"] == wire.CONTENT_TYPE
+        assert data.startswith(wire.WIRE_MAGIC)
+        # the profile headers the negotiating releases sent are gone
+        assert not any(name.startswith("X-Repro-Wire") for name in headers)
 
-    def test_unknown_profile_header_is_400(self, server, platform):
-        body = self._plan_body(platform, wire.PROFILE_BINARY)
+    def test_safe_server_400s_pickle_body(self, server, platform):
+        request = PlanRequest(platform=platform, N=100.0, strategy="hom")
+        body = b"repro-plan-wire:v1\n" + pickle.dumps(
+            {"format": wire.WIRE_FORMAT, "version": 1, "payload": request}
+        )
         with pytest.raises(urllib.error.HTTPError) as err:
-            raw_post(
-                f"{server.url}/plan",
-                body,
-                {wire.PROFILE_HEADER: "msgpack-v9"},
-            )
-        assert err.value.code == 400
-
-    def test_safe_server_400s_pickle_body(self, safe_server, platform):
-        body = self._plan_body(platform, wire.PROFILE_PICKLE)
-        with pytest.raises(urllib.error.HTTPError) as err:
-            raw_post(f"{safe_server.url}/plan", body)
+            raw_post(f"{server.url}/plan", body)
         assert err.value.code == 400
         message = err.value.read().decode()
-        assert "refused" in message
+        assert "not a repro plan-service envelope" in message
 
     def test_truncated_v2_body_is_400(self, server, platform):
-        body = self._plan_body(platform, wire.PROFILE_BINARY)
-        for cut in (len(wire.WIRE_V2_MAGIC) + 3, len(body) - 5):
+        body = self._plan_body(platform)
+        for cut in (len(wire.WIRE_MAGIC) + 3, len(body) - 5):
             with pytest.raises(urllib.error.HTTPError) as err:
                 raw_post(f"{server.url}/plan", body[:cut])
             assert err.value.code == 400
