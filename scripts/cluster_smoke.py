@@ -8,15 +8,20 @@ whole operability story end to end, from outside the process:
    workers and ``["binary-v2"]`` as the one wire profile — and answers
    a pickle-v1 body whose unpickling would create a marker file with a
    400 on every envelope route, the marker never existing;
-2. the same Figure-4 panel rendered through the coordinator by two
+   ``repro cluster status`` reports ``workers 3/3 alive``;
+2. membership is static: POST ``/workers/register`` (a URL nothing
+   listens on) is a 404 and the pool stays at 3 workers;
+3. the same Figure-4 panel rendered through the coordinator by two
    separate binary-v2 client processes is identical;
-3. SIGKILL-ing one worker (pid from the state file) is invisible to
-   the next client — the panel still renders identically, and
-   ``/cluster/status`` settles at 2 alive workers;
-4. ``/metrics`` aggregates: the coordinator observed every
+4. SIGKILL-ing one worker (pid from the state file) is invisible to
+   the next client — the panel still renders identically,
+   ``/cluster/status`` settles at 2 alive workers, and
+   ``repro cluster status`` shows ``workers 2/3 alive`` with one
+   ``[DEAD]`` line;
+5. ``/metrics`` aggregates: the coordinator observed every
    ``/plan_batch`` and the cluster-wide merge carries the workers'
    counts;
-5. ``repro cluster down`` stops everything: the ``up`` process exits,
+6. ``repro cluster down`` stops everything: the ``up`` process exits,
    the state file is gone, the worker pids are dead.
 
 Exits non-zero on any failure; prints a BENCH-style JSON line so CI
@@ -102,6 +107,24 @@ def assert_pickle_refused(url: str, marker: Path) -> None:
     assert not marker.exists(), "a pickle-v1 body was unpickled"
 
 
+def assert_register_refused(url: str) -> None:
+    """No route adds a worker: the old push route is a 404."""
+    body = json.dumps({"url": "http://127.0.0.1:1"}).encode()
+    request = urllib.request.Request(
+        f"{url}/workers/register",
+        data=body,
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        urllib.request.urlopen(request, timeout=10)
+    except urllib.error.HTTPError as err:
+        assert err.code == 404, f"/workers/register answered {err.code}"
+    else:
+        raise SystemExit("/workers/register accepted a worker")
+    total = get_json(f"{url}/cluster/status")["pool"]["total"]
+    assert total == 3, f"pool grew to {total} workers"
+
+
 def get_json(url: str) -> dict:
     return json.loads(urllib.request.urlopen(url, timeout=10).read())
 
@@ -173,8 +196,14 @@ def main() -> int:
             assert_pickle_refused(url, Path(tmp) / "unpickled")
             state = json.loads(state_path.read_text())
             assert len(state["workers"]) == 3, state
+            status = run_cli(["cluster", "status", "--state", str(state_path)])
+            assert "workers 3/3 alive" in status, status
+            assert "dispatch=" not in status, status
 
-            # 2. same panel from two separate client processes
+            # 2. membership is the pool the coordinator started with
+            assert_register_refused(url)
+
+            # 3. same panel from two separate client processes
             remote = PANEL_ARGS + ["--backend", f"remote:{address}"]
             panel_first = run_cli(remote)
             panel_second = run_cli(remote)
@@ -182,7 +211,7 @@ def main() -> int:
                 "panels differ between client processes"
             )
 
-            # 3. SIGKILL one worker; the next client must not notice
+            # 4. SIGKILL one worker; the next client must not notice
             # (the dead child lingers as a zombie of the `up` process
             # until teardown reaps it, so no pid-liveness wait here —
             # the /cluster/status settle below proves the kill landed)
@@ -198,8 +227,11 @@ def main() -> int:
                 "the pool to settle at 2 alive workers",
             )
             assert alive, "pool never reported the killed worker dead"
+            status = run_cli(["cluster", "status", "--state", str(state_path)])
+            assert "workers 2/3 alive" in status, status
+            assert status.count("[DEAD]") == 1, status
 
-            # 4. metrics aggregate across the survivors
+            # 5. metrics aggregate across the survivors
             metrics = get_json(f"{url}/metrics")
             coord_batches = metrics["coordinator"]["endpoints"]["/plan_batch"]
             assert coord_batches["count"] >= 3, metrics["coordinator"]
@@ -207,7 +239,7 @@ def main() -> int:
             assert cluster_batches["count"] >= 3, metrics["cluster"]
             assert cluster_batches["errors"] == 0, metrics["cluster"]
 
-            # 5. down stops everything and cleans up
+            # 6. down stops everything and cleans up
             down = subprocess.run(
                 [
                     sys.executable,

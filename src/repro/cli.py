@@ -13,7 +13,7 @@ console script; ``python -m repro`` works too)::
     repro compare --speeds 1 2 4 8 --cost-model piecewise
     repro serve --port 8640 --cache tiered:plans.db   # HTTP plan server
     repro figure4 --backend remote:localhost:8640 --no-cache  # offload
-    repro cluster up -n 3 --dispatch consistent-hash  # scale-out pool
+    repro cluster up -n 3                             # scale-out pool
     repro cluster up -n 2 --log access.log            # + access lines
     repro cluster status         # pool liveness + request totals
     repro cluster down           # stop workers + coordinator
@@ -103,8 +103,8 @@ def _add_log_option(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help=(
             "structured access log, one ts/endpoint/status/elapsed_ms/"
-            "wire/bytes/trace line per handled request: to stderr with "
-            "no argument, appended to PATH with one"
+            "bytes/trace line per handled request: to stderr with no "
+            "argument, appended to PATH with one"
         ),
     )
 
@@ -446,7 +446,6 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=None if args.no_cache else (args.cache or "memory"),
         vectorize=args.vectorize,
-        dispatch=args.dispatch,
         max_inflight=args.max_inflight,
         worker_max_inflight=args.worker_max_inflight,
         state_path=args.state or default_state_path(),
@@ -468,8 +467,7 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         print(f"repro cluster coordinator listening on {cluster.url}",
               flush=True)
         print(
-            f"  dispatch={args.dispatch!r} workers={args.workers} "
-            f"state={cluster.state_path}",
+            f"  workers={args.workers} state={cluster.state_path}",
             flush=True,
         )
         print(
@@ -517,8 +515,7 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
               f"`repro cluster down` cleans up", file=sys.stderr)
         return 2
     pool = status["pool"]
-    print(f"coordinator {url}  dispatch={status['dispatch']}  "
-          f"workers {pool['alive']}/{pool['total']} alive")
+    print(f"coordinator {url}  workers {pool['alive']}/{pool['total']} alive")
     for worker in pool["workers"]:
         flag = "up  " if worker["alive"] else "DEAD"
         print(
@@ -915,17 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8650,
         help="coordinator TCP port (0 = ephemeral; default: 8650); "
         "workers always bind ephemeral ports",
-    )
-    cl_up.add_argument(
-        "--dispatch",
-        type=str,
-        default="least-loaded",
-        metavar="SPEC",
-        help=(
-            "dispatch policy spec (`repro list dispatch`): least-loaded "
-            "or consistent-hash[:REPLICAS] for per-worker cache "
-            "affinity (default: least-loaded)"
-        ),
     )
     cl_up.add_argument(
         "--max-inflight",

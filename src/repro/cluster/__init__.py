@@ -7,18 +7,16 @@ listens on one address, speaks the exact binary-v2 wire protocol of
 :class:`~repro.service.server.PlanServer`, and fans requests out to a
 pool of ordinary worker replicas:
 
-* :mod:`repro.cluster.pool` — worker registration, heartbeats, and
-  liveness (:class:`~repro.cluster.pool.WorkerPool`): replicas that
-  miss heartbeats are marked dead and their in-flight batches are
+* :mod:`repro.cluster.pool` — membership and liveness
+  (:class:`~repro.cluster.pool.WorkerPool`): the replicas the
+  coordinator was started with, probed on ``/healthz``; replicas that
+  miss probes are marked dead and their in-flight batches are
   reassigned.
-* :mod:`repro.cluster.dispatch` — routing policies as a registry kind
-  (``dispatch``): ``least-loaded`` for raw throughput,
-  ``consistent-hash`` keyed on the plan content digest so each
-  worker's warm store stays sticky.
 * :mod:`repro.cluster.coordinator` — the HTTP front door: proxies
-  ``/plan``, ``/plan_batch`` and ``/cache/*``, shards vectorised
-  groups across alive workers, retries dead workers' shards elsewhere
-  (bounded, bit-identical results — the rtol=1e-12 contract survives
+  ``/plan``, ``/plan_batch`` and ``/cache/*``, dispatches each unit to
+  the least-loaded alive worker, shards vectorised groups across alive
+  workers, retries dead workers' shards elsewhere (bounded,
+  bit-identical results — the rtol=1e-12 contract survives
   rerouting), and aggregates ``/metrics`` and ``/cache/stats``.
 * :mod:`repro.cluster.lifecycle` — :class:`LocalCluster` plus the
   ``repro cluster up|status|down`` CLI: N local replicas on ephemeral
@@ -30,27 +28,13 @@ fault-tolerant.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator, NoWorkersError
-from repro.cluster.dispatch import (
-    Candidate,
-    ConsistentHashDispatch,
-    DispatchPolicy,
-    LeastLoadedDispatch,
-    dispatch_from_spec,
-    item_digest,
-)
 from repro.cluster.lifecycle import LocalCluster
 from repro.cluster.pool import WorkerInfo, WorkerPool
 
 __all__ = [
-    "Candidate",
     "ClusterCoordinator",
-    "ConsistentHashDispatch",
-    "DispatchPolicy",
-    "LeastLoadedDispatch",
     "LocalCluster",
     "NoWorkersError",
     "WorkerInfo",
     "WorkerPool",
-    "dispatch_from_spec",
-    "item_digest",
 ]

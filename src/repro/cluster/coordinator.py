@@ -7,8 +7,10 @@ client (``backend="remote:HOST:PORT"``, ``cache="http://HOST:PORT"``,
 ``repro figure4 --backend remote:...``) scales out by pointing at the
 coordinator instead of a worker.  What it adds:
 
-*Dispatch.*  ``/plan_batch`` items are assigned to alive workers by a
-pluggable :class:`~repro.cluster.dispatch.DispatchPolicy`.  Vectorised
+*Dispatch.*  One rule, the paper's demand-driven one (§4.1.1): each
+``/plan_batch`` unit goes to the alive worker with the fewest items in
+flight, ties broken on URL, with loads bumped tentatively as a pass
+places units so one batch spreads instead of dog-piling.  Vectorised
 :class:`~repro.core.vectorize.VectorGroup` items (a whole sweep fused
 client-side into one item) are first *sharded* into per-worker
 sub-groups — otherwise one worker would plan the entire sweep while
@@ -33,9 +35,15 @@ come with the shared front door
 coordinator serves its own counters plus every worker's, merged
 bucket-by-bucket into one cluster-wide histogram.
 
-Worker membership is the :class:`~repro.cluster.pool.WorkerPool`:
-seeded at construction, extended by POST ``/workers/register``, kept
-honest by pull heartbeats and POST ``/workers/heartbeat``.
+*Cache routes.*  ``/cache/get`` and ``/cache/put`` reach one worker's
+store, the least-loaded alive worker's at that moment, so an entry put
+through the coordinator is found again only while dispatch picks the
+same worker.  For one cluster-wide store, give every worker the same
+sqlite file (``--cache sqlite:PATH`` without ``{i}``).
+
+Worker membership is the :class:`~repro.cluster.pool.WorkerPool`, the
+workers the coordinator was constructed with.  Pull probes of each
+worker's ``/healthz`` are the only liveness signal.
 """
 
 from __future__ import annotations
@@ -44,12 +52,6 @@ import threading
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.cluster.dispatch import (
-    Candidate,
-    DispatchPolicy,
-    dispatch_from_spec,
-    item_digest,
-)
 from repro.cluster.pool import WorkerPool
 from repro.core.pipeline import PlanRequest, PlanResult
 from repro.core.vectorize import VectorGroup
@@ -66,6 +68,19 @@ class NoWorkersError(RuntimeError):
     """No alive worker can take this request (clients see a 503)."""
 
 
+def _least_loaded(loads: Dict[str, int]) -> str:
+    """The worker URL with the fewest in-flight items; ties break on URL.
+
+    ``loads`` maps each alive worker to its load.  The URL tie-break
+    makes a pass over an idle pool deterministic: the first unit goes
+    to the lowest URL, which then carries load, the next to the
+    second, and so on.
+    """
+    if not loads:
+        raise NoWorkersError("no alive workers to dispatch to")
+    return min(loads, key=lambda url: (loads[url], url))
+
+
 class _Unit:
     """One dispatchable piece of a ``/plan_batch``: item + reassembly slot.
 
@@ -74,7 +89,7 @@ class _Unit:
     results inside the original group's result list.
     """
 
-    __slots__ = ("item", "index", "offset", "size", "digest", "weight")
+    __slots__ = ("item", "index", "offset", "size")
 
     def __init__(
         self, item: Any, index: int, offset: Optional[int] = None
@@ -82,18 +97,14 @@ class _Unit:
         self.item = item
         self.index = index
         self.offset = offset
-        self.size = len(item.requests) if isinstance(item, VectorGroup) else 1
-        self.digest = item_digest(item)
         #: flat request count, the load unit dispatch balances on
-        self.weight = self.size
+        self.size = len(item.requests) if isinstance(item, VectorGroup) else 1
 
 
 class ClusterCoordinator(FrontDoor):
     """HTTP front door for a pool of plan-server replicas.
 
-    ``workers`` seeds the pool (more can register later);
-    ``dispatch`` is a policy spec or instance
-    (:func:`~repro.cluster.dispatch.dispatch_from_spec`);
+    ``workers`` is the pool, fixed for the coordinator's lifetime;
     ``max_inflight`` bounds concurrent planning requests cluster-wide
     (429 + Retry-After beyond it); ``heartbeat_interval`` /
     ``max_missed`` tune the pull-heartbeat monitor; ``max_reroutes``
@@ -116,7 +127,6 @@ class ClusterCoordinator(FrontDoor):
         port: int = 0,
         *,
         workers: Sequence[str] = (),
-        dispatch: "str | DispatchPolicy" = "least-loaded",
         max_inflight: int | None = None,
         retry_after: float = 0.5,
         heartbeat_interval: float = 1.0,
@@ -135,7 +145,6 @@ class ClusterCoordinator(FrontDoor):
         if max_reroutes < 0:
             raise ValueError(f"max_reroutes must be >= 0, got {max_reroutes}")
         self.pool = WorkerPool(max_missed=max_missed)
-        self.dispatch = dispatch_from_spec(dispatch)
         self.heartbeat_interval = float(heartbeat_interval)
         self.max_reroutes = int(max_reroutes)
         self.worker_timeout = float(worker_timeout)
@@ -151,12 +160,6 @@ class ClusterCoordinator(FrontDoor):
         return {
             **super().route_table(),
             "/cluster/status": Route("GET", self.status_payload),
-            "/workers/register": Route(
-                "POST", self._register_route, "json", wire=False
-            ),
-            "/workers/heartbeat": Route(
-                "POST", self._heartbeat_route, "json", wire=False
-            ),
             "/cluster/shutdown": Route(
                 "POST", self._shutdown_route, wire=False
             ),
@@ -175,14 +178,6 @@ class ClusterCoordinator(FrontDoor):
             code = exc.code if exc.code and 400 <= exc.code < 600 else 502
             return code, {"error": f"worker error: {exc}"}, {}
         return None
-
-    def _register_route(self, payload: dict) -> dict:
-        info = self.pool.register(str(payload.get("url", "")))
-        return {"registered": True, "id": info.id, "url": info.url}
-
-    def _heartbeat_route(self, payload: dict) -> dict:
-        info = self.pool.heartbeat(str(payload.get("url", "")))
-        return {"alive": info.alive, "id": info.id, "url": info.url}
 
     def _shutdown_route(self) -> dict:
         # close() runs on its own thread and first waits for the accept
@@ -275,7 +270,6 @@ class ClusterCoordinator(FrontDoor):
         if not units:
             return []
         unit_results: List[Any] = [None] * len(units)
-        done = [False] * len(units)
         pending = list(range(len(units)))
         # capture the handler thread's ambient trace once: ship() runs
         # on bare dispatch threads where context-locals don't follow,
@@ -292,14 +286,13 @@ class ClusterCoordinator(FrontDoor):
                     "no alive workers in the pool "
                     f"({len(self.pool.workers())} registered, all dead)"
                 )
-            candidates = {w.url: Candidate(w.url, w.load) for w in alive}
-            pool_view = list(candidates.values())
+            loads = {w.url: w.load for w in alive}
             assignment: Dict[str, List[int]] = {}
             for uid in pending:
-                chosen = self.dispatch.choose(units[uid].digest, pool_view)
+                url = _least_loaded(loads)
                 # tentative load so one pass spreads the whole batch
-                chosen.load += units[uid].weight
-                assignment.setdefault(chosen.url, []).append(uid)
+                loads[url] += units[uid].size
+                assignment.setdefault(url, []).append(uid)
             failed: List[int] = []
             errors: List[Exception] = []
             lock = threading.Lock()
@@ -308,7 +301,7 @@ class ClusterCoordinator(FrontDoor):
                 url: str, uids: List[int], round_no: int = round_no
             ) -> None:
                 payload = [units[u].item for u in uids]
-                weight = sum(units[u].weight for u in uids)
+                weight = sum(units[u].size for u in uids)
                 self.pool.acquire(url, weight)
                 hop_ctx: Optional[obs.TraceContext] = None
                 hop_span = None
@@ -338,7 +331,6 @@ class ClusterCoordinator(FrontDoor):
                     with lock:
                         for u, out in zip(uids, outputs):
                             unit_results[u] = out
-                            done[u] = True
                 except PlanServiceUnavailable as exc:
                     if hop_span is not None:
                         span.meta["outcome"] = "unreachable"
@@ -394,35 +386,23 @@ class ClusterCoordinator(FrontDoor):
 
     # -- cache proxying ---------------------------------------------------
 
-    def _route_cache(self, key: Hashable, call) -> Any:
-        """Run one cache op on the worker owning ``key``, with reroute.
-
-        The same digest routes ``/plan`` and ``/cache/*`` (see
-        :func:`~repro.cluster.dispatch.item_digest`), so under
-        ``consistent-hash`` an entry is looked up on the worker that
-        planned it.
-        """
-        digest = item_digest(key)
+    def _route_cache(self, call) -> Any:
+        """Run one cache op on the least-loaded alive worker, with reroute."""
         for _ in range(self.max_reroutes + 1):
-            alive = self.pool.alive()
-            if not alive:
-                raise NoWorkersError("no alive workers for cache request")
-            chosen = self.dispatch.choose(
-                digest, [Candidate(w.url, w.load) for w in alive]
-            )
+            url = _least_loaded({w.url: w.load for w in self.pool.alive()})
             try:
-                return call(self._client(chosen.url))
+                return call(self._client(url))
             except PlanServiceUnavailable as exc:
-                self.pool.mark_dead(chosen.url, f"unreachable: {exc}")
+                self.pool.mark_dead(url, f"unreachable: {exc}")
         raise NoWorkersError(
             f"cache request unplaced after {self.max_reroutes + 1} round(s)"
         )
 
     def cache_get(self, key: Hashable) -> Optional[PlanResult]:
-        return self._route_cache(key, lambda c: c.cache_get(key))
+        return self._route_cache(lambda c: c.cache_get(key))
 
     def cache_put(self, key: Hashable, result: PlanResult) -> None:
-        self._route_cache(key, lambda c: c.cache_put(key, result))
+        self._route_cache(lambda c: c.cache_put(key, result))
 
     def cache_clear(self) -> dict:
         """Clear every alive worker's store; report how many answered."""
@@ -486,7 +466,6 @@ class ClusterCoordinator(FrontDoor):
         snapshot = self.pool.snapshot()
         return self._health(
             role="coordinator",
-            dispatch=self.dispatch.name,
             workers_alive=snapshot["alive"],
             workers_total=snapshot["total"],
         )
@@ -495,7 +474,6 @@ class ClusterCoordinator(FrontDoor):
         return {
             "role": "coordinator",
             "url": self.url,
-            "dispatch": self.dispatch.name,
             "max_reroutes": self.max_reroutes,
             "heartbeat_interval": self.heartbeat_interval,
             "admission": {
@@ -553,6 +531,6 @@ class ClusterCoordinator(FrontDoor):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         snapshot = self.pool.snapshot()
         return (
-            f"<ClusterCoordinator {self.url} dispatch={self.dispatch.name!r} "
+            f"<ClusterCoordinator {self.url} "
             f"workers={snapshot['alive']}/{snapshot['total']}>"
         )

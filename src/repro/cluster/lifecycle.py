@@ -139,7 +139,8 @@ class LocalCluster:
     ``cache`` is any store spec a worker accepts; a literal ``"{i}"``
     inside it is replaced by the worker index, so
     ``cache="sqlite:/tmp/plans-{i}.db"`` gives each replica its own
-    durable store (the natural partner of ``dispatch="consistent-hash"``).
+    durable store, while ``cache="sqlite:/tmp/plans.db"`` (no ``{i}``)
+    gives the whole cluster one shared store.
     ``worker_max_inflight`` forwards ``--max-inflight`` to each
     replica; ``max_inflight`` bounds the coordinator itself.
 
@@ -156,7 +157,6 @@ class LocalCluster:
         jobs: int | None = None,
         cache: "str | None" = "memory",
         vectorize: bool = True,
-        dispatch: str = "least-loaded",
         max_inflight: int | None = None,
         worker_max_inflight: int | None = None,
         heartbeat_interval: float = 0.5,
@@ -177,7 +177,6 @@ class LocalCluster:
         self.jobs = jobs
         self.cache = cache
         self.vectorize = vectorize
-        self.dispatch = dispatch
         self.max_inflight = max_inflight
         self.worker_max_inflight = worker_max_inflight
         self.heartbeat_interval = float(heartbeat_interval)
@@ -264,7 +263,6 @@ class LocalCluster:
                 host=self.host,
                 port=self.port,
                 workers=urls,
-                dispatch=self.dispatch,
                 max_inflight=self.max_inflight,
                 heartbeat_interval=self.heartbeat_interval,
                 max_missed=self.max_missed,
@@ -299,7 +297,6 @@ class LocalCluster:
                 {"index": w.index, "url": w.url, "pid": w.pid}
                 for w in self.workers
             ],
-            "dispatch": self.dispatch,
             "created_at": time.time(),
         }
 

@@ -2,15 +2,12 @@
 
 The :class:`WorkerPool` is the coordinator's single source of truth
 about its replicas: which exist, which are alive, and how loaded each
-one is.  Liveness is heartbeat-driven from both directions:
-
-* *pull* — a monitor thread probes every worker's ``/healthz`` each
-  ``interval`` seconds; :attr:`max_missed` consecutive failures mark
-  it dead, one success revives it (a restarted replica rejoins with no
-  operator action).
-* *push* — workers (or operators) may POST ``/workers/heartbeat`` to
-  the coordinator, which resets the missed counter early and
-  auto-registers unknown URLs.
+one is.  Membership is static: the workers the coordinator was
+constructed with, registered once at start-up.  Liveness is pulled: a
+monitor thread probes every worker's ``/healthz`` each ``interval``
+seconds; :attr:`max_missed` consecutive failures mark it dead, one
+success revives it (a restarted replica rejoins with no operator
+action).
 
 Death is advisory, not terminal: a dead worker stays in the pool,
 keeps being probed, and is simply excluded from dispatch until it
@@ -34,8 +31,8 @@ from typing import Callable, Dict, List, Optional
 def normalize_worker_url(url: str) -> str:
     """The canonical form worker URLs are keyed by, everywhere.
 
-    Registration, heartbeats, death marks and load accounting must all
-    agree on one spelling — a coordinator passing ``http://h:1/`` where
+    Registration, death marks and load accounting must all agree on
+    one spelling — a coordinator passing ``http://h:1/`` where
     the worker registered as ``http://h:1`` would otherwise silently
     no-op ``mark_dead`` and leave a dead replica in dispatch.
     """
@@ -126,21 +123,8 @@ class WorkerPool:
                 info.last_seen = now
             return info
 
-    def heartbeat(self, url: str) -> WorkerInfo:
-        """Record one successful liveness signal (auto-registers)."""
-        with self._lock:
-            info = self._workers.get(normalize_worker_url(url))
-        if info is None:
-            return self.register(url)
-        with self._lock:
-            info.alive = True
-            info.missed = 0
-            info.reason = ""
-            info.last_seen = time.time()
-            return info
-
     def mark_dead(self, url: str, reason: str = "") -> None:
-        """Exclude a worker from dispatch until it heartbeats again."""
+        """Exclude a worker from dispatch until a probe succeeds again."""
         with self._lock:
             info = self._workers.get(normalize_worker_url(url))
             if info is not None and info.alive:

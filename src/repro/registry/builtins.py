@@ -49,7 +49,6 @@ PROVIDER_MODULES: dict[str, tuple[str, ...]] = {
         "repro.core.cache",
         "repro.service.client",
     ),
-    "dispatch": ("repro.cluster.dispatch",),
 }
 
 

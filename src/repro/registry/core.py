@@ -34,7 +34,6 @@ KINDS: Tuple[str, ...] = (
     "simulation",
     "backend",
     "cache",
-    "dispatch",
 )
 
 #: the entry-point group third-party distributions register under

@@ -70,13 +70,13 @@ ErrorReply = Tuple[int, dict, Dict[str, str]]
 class Route(NamedTuple):
     """One endpoint: what its operation takes and how it is answered.
 
-    ``takes`` is what ``op`` receives: nothing (``""``), the decoded
-    request envelope (``"envelope"``) or the parsed JSON object body
-    (``"json"``).  ``reply`` is how its return value goes back: as JSON,
-    as a binary-v2 envelope, or as the ``/metrics`` payload (JSON or
-    Prometheus, by ``?format=``).  ``gated`` routes pass the admission
-    gate first.  A POST route with ``wire`` set speaks the plan wire and
-    runs under the root span; control-plane routes clear it.
+    ``takes`` is what ``op`` receives: nothing (``""``) or the decoded
+    request envelope (``"envelope"``).  ``reply`` is how its return
+    value goes back: as JSON, as a binary-v2 envelope, or as the
+    ``/metrics`` payload (JSON or Prometheus, by ``?format=``).
+    ``gated`` routes pass the admission gate first.  A POST route with
+    ``wire`` set speaks the plan wire and runs under the root span;
+    control-plane routes clear it.
     """
 
     verb: str
@@ -148,8 +148,6 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
         self._endpoint = path if route is not None else "other"
         if route is not None and route.verb != verb:
             route = None
-        # the access log's wire column; wire-speaking POSTs overwrite it
-        self._profile = "-"
         # only sampled contexts surface in the access log and record spans
         self._trace = obs.parse_trace_header(
             self.headers.get(obs.TRACE_HEADER)
@@ -159,7 +157,6 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             if verb == "GET" or (route is not None and not route.wire):
                 self._call(route, body)
                 return
-            self._profile = wire.PROFILE_BINARY
             with obs.serving(
                 self.door.span_recorder,
                 self._trace,
@@ -208,17 +205,13 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
 
     def _run(self, route: Route, body: bytes) -> None:
         if route.takes == "envelope":
-            with obs.span(
-                "wire_decode", profile=self._profile, nbytes=len(body)
-            ):
+            with obs.span("wire_decode", nbytes=len(body)):
                 args: tuple = (wire.unpack_v2(body),)
-        elif route.takes == "json":
-            args = (self._json_body(body),)
         else:
             args = ()
         result = route.op(*args)
         if route.reply == "envelope":
-            with obs.span("wire_encode", profile=self._profile):
+            with obs.span("wire_encode"):
                 data = wire.pack_v2(result)
             self._reply(200, data, wire.CONTENT_TYPE)
         elif route.reply == "metrics":
@@ -243,17 +236,6 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             )
         return self.rfile.read(length) if length else b""
 
-    def _json_body(self, body: bytes) -> dict:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"expected a JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"expected a JSON object, got {type(payload).__name__}"
-            )
-        return payload
-
     # -- replies -----------------------------------------------------------
 
     def _reply(
@@ -272,7 +254,6 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             self._endpoint,
             code,
             time.perf_counter() - self._started,
-            profile=self._profile,
             nbytes=len(body),
             trace=(
                 trace.trace_id
@@ -482,7 +463,6 @@ class FrontDoor:
         status: int,
         elapsed_s: float,
         *,
-        profile: str = "-",
         nbytes: int = 0,
         trace: str = "-",
     ) -> None:
@@ -497,8 +477,7 @@ class FrontDoor:
         self.metrics.observe(endpoint, status, elapsed_s)
         if self.access_log is not None:
             self.access_log.record(
-                endpoint, status, elapsed_s,
-                wire=profile, nbytes=nbytes, trace=trace,
+                endpoint, status, elapsed_s, nbytes=nbytes, trace=trace
             )
 
     # -- connections -------------------------------------------------------

@@ -314,9 +314,7 @@ def prometheus_exposition(payload: Mapping[str, Any]) -> str:
 
 
 #: field order of an access-log line; parse_access_line requires them all
-ACCESS_LOG_FIELDS = (
-    "ts", "endpoint", "status", "elapsed_ms", "wire", "bytes", "trace",
-)
+ACCESS_LOG_FIELDS = ("ts", "endpoint", "status", "elapsed_ms", "bytes", "trace")
 
 
 def format_access_line(
@@ -324,7 +322,6 @@ def format_access_line(
     status: int,
     elapsed_s: float,
     *,
-    wire: str = "-",
     nbytes: int = 0,
     trace: str = "-",
     ts: Optional[str] = None,
@@ -345,8 +342,8 @@ def format_access_line(
         )
     return (
         f"ts={ts} endpoint={endpoint} status={int(status)} "
-        f"elapsed_ms={1000.0 * elapsed_s:.3f} wire={wire or '-'} "
-        f"bytes={int(nbytes)} trace={trace or '-'}"
+        f"elapsed_ms={1000.0 * elapsed_s:.3f} bytes={int(nbytes)} "
+        f"trace={trace or '-'}"
     )
 
 
@@ -355,7 +352,9 @@ def parse_access_line(line: str) -> Dict[str, Any]:
 
     Raises ``ValueError`` on anything that is not a complete access
     line, so log-processing tools (and the CI smoke) fail loudly on
-    interleaved or truncated output instead of mis-counting.
+    interleaved or truncated output instead of mis-counting.  Other
+    ``key=value`` tokens are ignored, so lines written by older servers
+    (which carried a ``wire=`` column) still parse.
     """
     fields: Dict[str, str] = {}
     for token in line.split():
@@ -373,7 +372,6 @@ def parse_access_line(line: str) -> Dict[str, Any]:
         "endpoint": fields["endpoint"],
         "status": int(fields["status"]),
         "elapsed_ms": float(fields["elapsed_ms"]),
-        "wire": fields["wire"],
         "bytes": int(fields["bytes"]),
         "trace": fields["trace"],
     }
@@ -411,12 +409,11 @@ class AccessLog:
         status: int,
         elapsed_s: float,
         *,
-        wire: str = "-",
         nbytes: int = 0,
         trace: str = "-",
     ) -> None:
         line = format_access_line(
-            endpoint, status, elapsed_s, wire=wire, nbytes=nbytes, trace=trace
+            endpoint, status, elapsed_s, nbytes=nbytes, trace=trace
         )
         with self._lock:
             try:

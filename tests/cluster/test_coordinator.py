@@ -5,7 +5,7 @@
   vectorised;
 * killing a worker mid-pool transparently reroutes to survivors with
   identical results;
-* consistent-hash keeps plans and their cache entries on one worker;
+* membership is the workers it was built with: no route adds one;
 * admission control answers 429 + Retry-After; no workers answers 503;
 * worker protocol errors are relayed, not retried;
 * /metrics aggregates workers into one cluster histogram.
@@ -18,9 +18,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import registry
 from repro.cluster.coordinator import ClusterCoordinator, NoWorkersError
-from repro.core.cache import plan_cache_key
 from repro.core.pipeline import PlanRequest
 from repro.core.session import PlannerSession
 from repro.platform.star import StarPlatform
@@ -80,6 +78,7 @@ class TestFrontDoor:
         assert health["workers_alive"] == 3
         assert health["workers_total"] == 3
         assert health["wire_profiles"] == ["binary-v2"]
+        assert "dispatch" not in health
 
     def test_status_payload(self, coordinator):
         status = json.loads(
@@ -89,9 +88,19 @@ class TestFrontDoor:
             .read()
             .decode()
         )
-        assert status["dispatch"] == "least-loaded"
         assert status["pool"]["alive"] == 3
         assert len(status["pool"]["workers"]) == 3
+
+    def test_status_has_no_dispatch_field(self, coordinator, platform):
+        ServiceClient(coordinator.url).plan(
+            PlanRequest(platform=platform, N=10.0, strategy="het")
+        )
+        status = ServiceClient(coordinator.url).get_json("/cluster/status")
+        assert "dispatch" not in status
+        assert status["pool"]["total"] == 3
+        workers = status["pool"]["workers"]
+        assert sum(w["dispatched"] for w in workers) == 1
+        assert all(w["failures"] == 0 for w in workers)
 
     def test_single_plan_roundtrip(self, coordinator, platform):
         request = PlanRequest(platform=platform, N=1234.0, strategy="het")
@@ -211,32 +220,6 @@ class TestReroute:
 
 
 class TestCacheRouting:
-    def test_consistent_hash_cache_stickiness(self, workers, platform):
-        coord = ClusterCoordinator(
-            port=0,
-            workers=[w.url for w in workers],
-            dispatch="consistent-hash",
-            heartbeat_interval=5.0,
-        )
-        with coord:
-            client = ServiceClient(coord.url)
-            request = PlanRequest(
-                platform=platform, N=777.0, strategy="het"
-            )
-            first = client.plan(request)
-            second = client.plan(request)  # same worker → warm hit
-            assert_same_results([second], [first])
-            total_hits = sum(
-                w.session.cache_stats().hits for w in workers
-            )
-            assert total_hits == 1
-            # the explicit cache view routes to the same worker
-            factory = registry.get("strategy", "het")
-            key = plan_cache_key(request, factory)
-            cached = client.cache_get(key)
-            assert cached is not None
-            assert_same_results([cached], [first])
-
     def test_cache_put_then_get_roundtrip(self, coordinator, platform):
         client = ServiceClient(coordinator.url)
         request = PlanRequest(platform=platform, N=55.0, strategy="het")
@@ -343,41 +326,61 @@ class TestMetricsAggregation:
         assert cluster_batches["errors"] == 0
         assert len(payload["workers"]) == 3
 
-    def test_registration_endpoints(self, coordinator):
-        spare = PlanServer(port=0).start()
-        try:
-            body = json.dumps({"url": spare.url}).encode()
-            request = urllib.request.Request(
-                f"{coordinator.url}/workers/register",
-                data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            reply = json.loads(
-                urllib.request.urlopen(request, timeout=5).read().decode()
-            )
-            assert reply["registered"] is True
-            assert coordinator.pool.snapshot()["total"] == 4
-            request = urllib.request.Request(
-                f"{coordinator.url}/workers/heartbeat",
-                data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            reply = json.loads(
-                urllib.request.urlopen(request, timeout=5).read().decode()
-            )
-            assert reply["alive"] is True
-        finally:
-            spare.close()
 
-    def test_bad_registration_is_400(self, coordinator):
+class TestStaticMembership:
+    """No route changes the pool: the constructor's workers are all."""
+
+    @pytest.mark.parametrize(
+        "path", ["/workers/register", "/workers/heartbeat"]
+    )
+    def test_push_routes_are_404_counted_as_other(self, coordinator, path):
+        # nothing listens on port 1: registering it would hand planning
+        # shards to a URL that can never answer
+        body = json.dumps({"url": "http://127.0.0.1:1"}).encode()
         request = urllib.request.Request(
-            f"{coordinator.url}/workers/register",
-            data=b"not json",
+            f"{coordinator.url}{path}",
+            data=body,
             headers={"Content-Type": "application/json"},
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=5)
-        assert err.value.code == 400
+        assert err.value.code == 404
+        assert coordinator.pool.snapshot()["total"] == 3
+        endpoints = coordinator.metrics.payload()["endpoints"]
+        assert endpoints["other"]["count"] == 1
+        assert path not in endpoints
+
+
+class TestNoContentKeying:
+    def test_plan_batch_never_computes_a_cache_key(
+        self, platform, monkeypatch
+    ):
+        # least-loaded dispatch reads loads, not content: with cacheless
+        # workers nothing on the path may key a request
+        import repro.core.cache
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("plan_cache_key called on the dispatch path")
+
+        monkeypatch.setattr(repro.core.cache, "plan_cache_key", refuse)
+        servers = [PlanServer(port=0, cache=False).start() for _ in range(2)]
+        try:
+            coord = ClusterCoordinator(
+                port=0,
+                workers=[w.url for w in servers],
+                heartbeat_interval=5.0,
+            )
+            with coord:
+                requests = _requests(platform, 6)
+                actual = ServiceClient(coord.url, retries=0).plan_items(
+                    requests
+                )
+        finally:
+            for server in servers:
+                server.close()
+        with PlannerSession(cache=False) as local:
+            expected = local.plan_batch(requests)
+        assert_same_results(actual, expected)
 
 
 class TestValidation:

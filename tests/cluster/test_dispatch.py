@@ -1,182 +1,36 @@
-"""Dispatch policies: registry wiring, balance, affinity, stability."""
-
-import hashlib
+"""The coordinator's one dispatch rule: least-loaded, URL tie-break."""
 
 import pytest
 
-from repro import registry
-from repro.cluster.dispatch import (
-    Candidate,
-    ConsistentHashDispatch,
-    LeastLoadedDispatch,
-    dispatch_from_spec,
-    item_digest,
-)
-from repro.core.cache import encode_key, plan_cache_key
-from repro.core.pipeline import PlanRequest
-from repro.core.vectorize import VectorGroup
-from repro.platform.star import StarPlatform
-from repro.registry import RegistryError
+from repro.cluster.coordinator import NoWorkersError, _least_loaded
 
 
-def _digest(token: str) -> str:
-    return hashlib.sha256(token.encode()).hexdigest()
-
-
-def _candidates(n, loads=None):
+def _loads(n, loads=None):
     loads = loads or [0] * n
-    return [
-        Candidate(f"http://127.0.0.1:{9000 + i}", loads[i]) for i in range(n)
-    ]
-
-
-class TestRegistryWiring:
-    def test_dispatch_is_a_registry_kind(self):
-        assert "dispatch" in registry.kinds()
-
-    def test_builtin_policies_registered(self):
-        names = registry.available("dispatch")
-        assert "least-loaded" in names
-        assert "consistent-hash" in names
-
-    def test_dispatch_from_spec_bare_name(self):
-        assert isinstance(
-            dispatch_from_spec("least-loaded"), LeastLoadedDispatch
-        )
-
-    def test_dispatch_from_spec_with_arg(self):
-        policy = dispatch_from_spec("consistent-hash:128")
-        assert isinstance(policy, ConsistentHashDispatch)
-        assert policy.replicas == 128
-
-    def test_dispatch_from_spec_passthrough(self):
-        policy = LeastLoadedDispatch()
-        assert dispatch_from_spec(policy) is policy
-
-    def test_unknown_name_fails_clean(self):
-        with pytest.raises(RegistryError):
-            dispatch_from_spec("round-robin")
-
-    def test_bad_arg_fails_clean(self):
-        with pytest.raises(RegistryError, match="bad dispatch spec"):
-            dispatch_from_spec("consistent-hash:zero")
-        with pytest.raises(RegistryError, match="bad dispatch spec"):
-            dispatch_from_spec("consistent-hash:0")
+    return {f"http://127.0.0.1:{9000 + i}": loads[i] for i in range(n)}
 
 
 class TestLeastLoaded:
     def test_picks_minimum_load(self):
-        policy = LeastLoadedDispatch()
-        cands = _candidates(3, loads=[5, 1, 3])
-        assert policy.choose(_digest("x"), cands) is cands[1]
+        loads = _loads(3, loads=[5, 1, 3])
+        assert _least_loaded(loads) == "http://127.0.0.1:9001"
 
     def test_tie_breaks_on_url(self):
-        policy = LeastLoadedDispatch()
-        cands = _candidates(3)
-        assert policy.choose(_digest("x"), cands) is cands[0]
+        # insertion order must not matter: the lowest URL wins a tie
+        loads = dict(reversed(list(_loads(3).items())))
+        assert _least_loaded(loads) == "http://127.0.0.1:9000"
 
     def test_spreads_with_tentative_loads(self):
-        # the coordinator bumps the chosen candidate's load per item;
-        # an idle pool must then take items round-robin, not dog-pile
-        policy = LeastLoadedDispatch()
-        cands = _candidates(3)
+        # the coordinator bumps the chosen worker's load per item; an
+        # idle pool must then take items round-robin, not dog-pile
+        loads = _loads(3)
         seen = []
-        for i in range(6):
-            chosen = policy.choose(_digest(f"item{i}"), cands)
-            chosen.load += 1
-            seen.append(chosen.url)
-        assert sorted(seen.count(c.url) for c in cands) == [2, 2, 2]
+        for _ in range(6):
+            url = _least_loaded(loads)
+            loads[url] += 1
+            seen.append(url)
+        assert seen == list(_loads(3)) * 2
 
     def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            LeastLoadedDispatch().choose(_digest("x"), [])
-
-
-class TestConsistentHash:
-    def test_stable_for_same_digest(self):
-        policy = ConsistentHashDispatch()
-        cands = _candidates(4)
-        digest = _digest("some plan key")
-        first = policy.choose(digest, cands)
-        for _ in range(10):
-            assert policy.choose(digest, cands).url == first.url
-
-    def test_ignores_load(self):
-        policy = ConsistentHashDispatch()
-        digest = _digest("sticky")
-        idle = _candidates(4)
-        busy = _candidates(4, loads=[100, 100, 100, 100])
-        assert policy.choose(digest, idle).url == policy.choose(
-            digest, busy
-        ).url
-
-    def test_distribution_roughly_uniform(self):
-        policy = ConsistentHashDispatch(replicas=64)
-        cands = _candidates(4)
-        counts = {c.url: 0 for c in cands}
-        for i in range(2000):
-            counts[policy.choose(_digest(f"key{i}"), cands).url] += 1
-        # virtual points keep every worker within a loose band of the
-        # fair share (500); wildly skewed rings are the failure mode
-        assert min(counts.values()) > 150
-        assert max(counts.values()) < 1000
-
-    def test_minimal_movement_on_worker_loss(self):
-        policy = ConsistentHashDispatch(replicas=64)
-        full = _candidates(4)
-        survivors = full[:-1]
-        digests = [_digest(f"key{i}") for i in range(1000)]
-        before = {d: policy.choose(d, full).url for d in digests}
-        after = {d: policy.choose(d, survivors).url for d in digests}
-        moved = sum(1 for d in digests if before[d] != after[d])
-        lost_share = sum(
-            1 for d in digests if before[d] == full[-1].url
-        )
-        # only keys owned by the dead worker move
-        assert moved == lost_share
-        assert moved < 600  # ~1/4 of the key space, not a full reshuffle
-
-    def test_ring_rebuilds_when_pool_changes(self):
-        policy = ConsistentHashDispatch(replicas=8)
-        a = _candidates(2)
-        b = _candidates(3)
-        policy.choose(_digest("x"), a)
-        # a different candidate set must not serve the stale ring
-        chosen = policy.choose(_digest("x"), b)
-        assert chosen.url in {c.url for c in b}
-
-    def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            ConsistentHashDispatch().choose(_digest("x"), [])
-
-
-class TestItemDigest:
-    @pytest.fixture()
-    def platform(self):
-        return StarPlatform.from_speeds([1.0, 2.0, 4.0])
-
-    def test_request_digest_matches_content_key(self, platform):
-        request = PlanRequest(platform=platform, N=1000.0, strategy="het")
-        factory = registry.get("strategy", "het")
-        assert item_digest(request) == encode_key(
-            plan_cache_key(request, factory)
-        )
-
-    def test_group_routes_by_first_request(self, platform):
-        requests = tuple(
-            PlanRequest(platform=platform, N=1000.0 + i, strategy="het")
-            for i in range(3)
-        )
-        group = VectorGroup(strategy="het", requests=requests)
-        assert item_digest(group) == item_digest(requests[0])
-
-    def test_plain_key_digest(self):
-        key = ("fingerprint", 1000.0, "het")
-        assert item_digest(key) == encode_key(key)
-
-    def test_unknown_strategy_still_stable(self, platform):
-        request = PlanRequest(
-            platform=platform, N=10.0, strategy="not-a-strategy"
-        )
-        assert item_digest(request) == item_digest(request)
-        assert len(item_digest(request)) == 64
+        with pytest.raises(NoWorkersError):
+            _least_loaded({})

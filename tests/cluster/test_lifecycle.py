@@ -121,6 +121,42 @@ class TestLocalCluster:
         assert all(not w.alive() for w in cluster.workers)
         assert all(w.proc.stdout.closed for w in cluster.workers)
 
+    def test_cluster_status_command(self, tmp_path, capsys):
+        from repro.cli import main
+
+        state_path = str(tmp_path / "cluster.json")
+        with LocalCluster(
+            n=2, state_path=state_path, heartbeat_interval=0.2
+        ) as cluster:
+            assert "dispatch" not in read_state(state_path)
+            assert main(["cluster", "status", "--state", state_path]) == 0
+            out = capsys.readouterr().out
+            assert f"coordinator {cluster.url}  workers 2/2 alive" in out
+            assert "dispatch=" not in out
+            assert out.count("[up  ]") == 2
+
+            cluster.kill_worker(0, signal.SIGKILL)
+            deadline = time.time() + 10
+            while time.time() < deadline:
+                if cluster_status(cluster.url)["pool"]["alive"] == 1:
+                    break
+                time.sleep(0.1)
+            assert main(["cluster", "status", "--state", state_path]) == 0
+            out = capsys.readouterr().out
+            assert "workers 1/2 alive" in out
+            dead = [line for line in out.splitlines() if "[DEAD]" in line]
+            assert len(dead) == 1
+            assert cluster.workers[0].url in dead[0]
+
+    def test_cluster_status_without_state_file_exits_2(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        missing = str(tmp_path / "absent.json")
+        assert main(["cluster", "status", "--state", missing]) == 2
+        assert f"no cluster state at {missing}" in capsys.readouterr().err
+
     def test_startup_failure_reports_worker_output(self, tmp_path):
         cluster = LocalCluster(
             n=1,

@@ -50,22 +50,12 @@ class TestMembership:
         pool.mark_dead(URL_A, "again")
         assert pool.workers()[0].failures == 1
 
-    def test_heartbeat_revives_and_autoregisters(self):
-        pool = WorkerPool()
-        pool.register(URL_A)
-        pool.mark_dead(URL_A, "test")
-        pool.heartbeat(URL_A)
-        assert pool.workers()[0].alive
-        # unknown URL: auto-register
-        pool.heartbeat(URL_B)
-        assert {w.url for w in pool.alive()} == {URL_A, URL_B}
-
 
 class TestUrlNormalisation:
     """Every lookup must accept any spelling register() accepts.
 
     Regression: mark_dead/acquire/release used to look up the *raw*
-    URL while register/heartbeat normalised — a coordinator passing a
+    URL while register normalised — a coordinator passing a
     trailing-slash URL silently no-opped mark_dead, so a dead worker
     kept receiving dispatch and inflight accounting drifted.
     """
@@ -98,14 +88,6 @@ class TestUrlNormalisation:
         assert info.dispatched == 3
         pool.release(URL_A + "/", 3)
         assert pool.workers()[0].inflight == 0
-
-    def test_heartbeat_trailing_slash_does_not_duplicate(self):
-        pool = WorkerPool()
-        pool.register(URL_A)
-        pool.mark_dead(URL_A, "test")
-        info = pool.heartbeat(URL_A + "/")
-        assert info.alive
-        assert len(pool.workers()) == 1
 
 
 class TestLoadAccounting:

@@ -17,15 +17,13 @@ from repro.loadtest import request_stream
 
 class TestFormatParse:
     def test_round_trip(self):
-        line = format_access_line(
-            "/plan", 200, 0.001234, wire="binary-v2", nbytes=456
-        )
+        line = format_access_line("/plan", 200, 0.001234, nbytes=456)
         parsed = parse_access_line(line)
         assert parsed["endpoint"] == "/plan"
         assert parsed["status"] == 200
         assert parsed["elapsed_ms"] == pytest.approx(1.234)
-        assert parsed["wire"] == "binary-v2"
         assert parsed["bytes"] == 456
+        assert "wire=" not in line
         assert parsed["ts"].endswith("+00:00")
         assert parsed["trace"] == "-"  # untraced request
 
@@ -55,10 +53,21 @@ class TestFormatParse:
         )
         assert parse_access_line(line)["ts"] == "2026-08-08T00:00:00.000+00:00"
 
-    def test_empty_wire_becomes_dash(self):
-        assert parse_access_line(
-            format_access_line("/metrics", 200, 0.0, wire="")
-        )["wire"] == "-"
+    def test_line_with_wire_column_still_parses(self):
+        # servers before one wire format wrote a wire= column; logs
+        # they left behind must stay readable
+        line = (
+            "ts=2026-08-08T00:00:00.000+00:00 endpoint=/plan status=200 "
+            "elapsed_ms=1.5 wire=binary-v2 bytes=42 trace=deadbeefcafef00d"
+        )
+        assert parse_access_line(line) == {
+            "ts": "2026-08-08T00:00:00.000+00:00",
+            "endpoint": "/plan",
+            "status": 200,
+            "elapsed_ms": 1.5,
+            "bytes": 42,
+            "trace": "deadbeefcafef00d",
+        }
 
     def test_parse_rejects_non_kv_token(self):
         with pytest.raises(ValueError, match="not an access-log token"):
@@ -73,7 +82,7 @@ class TestAccessLog:
     def test_records_to_stream(self):
         buf = io.StringIO()
         log = AccessLog(buf)
-        log.record("/plan", 200, 0.002, wire="binary-v2", nbytes=10)
+        log.record("/plan", 200, 0.002, nbytes=10)
         log.record("/plan", 500, 0.004)
         assert log.lines_written == 2
         lines = buf.getvalue().splitlines()
@@ -129,12 +138,9 @@ class TestServerHook:
             assert metrics[endpoint]["count"] == len(entries)
         plan_lines = by_endpoint["/plan"]
         assert plan_lines[0]["status"] == 200
-        assert plan_lines[0]["wire"] == "binary-v2"
         assert plan_lines[0]["bytes"] > 0
         # the unknown path is logged under the bounded "other" bucket
         assert by_endpoint["other"][0]["status"] == 404
-        # GETs carry no envelope: wire is the "-" placeholder
-        assert by_endpoint["/healthz"][0]["wire"] == "-"
 
     def test_server_without_log_still_serves(self):
         with PlanServer() as server:
