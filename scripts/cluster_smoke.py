@@ -17,7 +17,10 @@ whole operability story end to end, from outside the process:
    the next client — the panel still renders identically,
    ``/cluster/status`` settles at 2 alive workers, and
    ``repro cluster status`` shows ``workers 2/3 alive`` with one
-   ``[DEAD]`` line;
+   ``[DEAD]`` line; a 6-request ``VectorGroup`` POSTed to the
+   coordinator then comes back as a ``cat`` of two ``sub`` refs (each
+   survivor's reply relayed undecoded) that decodes equal to local
+   planning at rtol=1e-12;
 5. ``/metrics`` aggregates: the coordinator observed every
    ``/plan_batch`` and the cluster-wide merge carries the workers'
    counts;
@@ -46,6 +49,16 @@ import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from repro.core.pipeline import PlanRequest  # noqa: E402
+from repro.core.session import PlannerSession  # noqa: E402
+from repro.core.vectorize import VectorGroup  # noqa: E402
+from repro.platform.star import StarPlatform  # noqa: E402
+from repro.service import wire  # noqa: E402
+
 BANNER_RE = re.compile(r"cluster coordinator listening on (http://\S+)")
 PANEL_ARGS = [
     "figure4",
@@ -123,6 +136,35 @@ def assert_register_refused(url: str) -> None:
         raise SystemExit("/workers/register accepted a worker")
     total = get_json(f"{url}/cluster/status")["pool"]["total"]
     assert total == 3, f"pool grew to {total} workers"
+
+
+def assert_group_relayed(url: str) -> None:
+    """A group sharded over the two alive workers comes back as their
+    two replies, relayed undecoded, and decodes to local planning."""
+    platform = StarPlatform.from_speeds([1.0, 2.0, 3.0, 5.0, 8.0])
+    requests = [
+        PlanRequest(platform=platform, N=1500.0 + 250.0 * i, strategy="het")
+        for i in range(6)
+    ]
+    group = VectorGroup(strategy="het", requests=tuple(requests))
+    request = urllib.request.Request(
+        f"{url}/plan_batch", data=wire.pack_v2([group])
+    )
+    answer = urllib.request.urlopen(request, timeout=30).read()
+    payload = wire.read_header(answer)[0]["payload"]
+    assert payload == ["l", ["cat", ["sub", 0, 0], ["sub", 1, 0]]], payload
+    (relayed,) = wire.unpack_v2(answer, relayed=True)
+    with PlannerSession(cache=False) as local:
+        expected = local.plan_batch(requests)
+    assert len(relayed) == len(expected) == 6
+    for got, want in zip(relayed, expected):
+        assert got.request == want.request, (got.request, want.request)
+        np.testing.assert_allclose(
+            got.plan.finish_times, want.plan.finish_times, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            got.plan.comm_volume, want.plan.comm_volume, rtol=1e-12
+        )
 
 
 def get_json(url: str) -> dict:
@@ -230,6 +272,7 @@ def main() -> int:
             status = run_cli(["cluster", "status", "--state", str(state_path)])
             assert "workers 2/3 alive" in status, status
             assert status.count("[DEAD]") == 1, status
+            assert_group_relayed(url)
 
             # 5. metrics aggregate across the survivors
             metrics = get_json(f"{url}/metrics")
@@ -276,6 +319,7 @@ def main() -> int:
                         "name": "cluster_smoke",
                         "workers": 3,
                         "alive_after_kill": 2,
+                        "relayed_shards": 2,
                         "coordinator_plan_batches": coord_batches["count"],
                         "cluster_plan_batches": cluster_batches["count"],
                     }

@@ -12,12 +12,12 @@ pool of ordinary worker replicas:
   coordinator was started with, probed on ``/healthz``; replicas that
   miss probes are marked dead and their in-flight batches are
   reassigned.
-* :mod:`repro.cluster.coordinator` — the HTTP front door: proxies
-  ``/plan``, ``/plan_batch`` and ``/cache/*``, dispatches each unit to
-  the least-loaded alive worker, shards vectorised groups across alive
-  workers, retries dead workers' shards elsewhere (bounded,
-  bit-identical results — the rtol=1e-12 contract survives
-  rerouting), and aggregates ``/metrics`` and ``/cache/stats``.
+* :mod:`repro.cluster.coordinator` — the HTTP front door: relays
+  ``/plan`` and ``/plan_batch`` replies undecoded, proxies ``/cache/*``,
+  dispatches each unit to the least-loaded alive worker, shards
+  vectorised groups across alive workers, retries dead workers' shards
+  elsewhere (bounded, bit-identical results — the rtol=1e-12 contract
+  survives rerouting), and aggregates ``/metrics`` and ``/cache/stats``.
 * :mod:`repro.cluster.lifecycle` — :class:`LocalCluster` plus the
   ``repro cluster up|status|down`` CLI: N local replicas on ephemeral
   ports behind one coordinator, for tests, benchmarks and demos.

@@ -35,11 +35,17 @@ come with the shared front door
 coordinator serves its own counters plus every worker's, merged
 bucket-by-bucket into one cluster-wide histogram.
 
-*Cache routes.*  ``/cache/get`` and ``/cache/put`` reach one worker's
-store, the least-loaded alive worker's at that moment, so an entry put
-through the coordinator is found again only while dispatch picks the
-same worker.  For one cluster-wide store, give every worker the same
-sqlite file (``--cache sqlite:PATH`` without ``{i}``).
+*Relay.*  Requests are decoded (sharding needs them), planning replies
+never are: each worker's ``/plan_batch`` reply is relayed byte for byte
+(:mod:`repro.service.wire` ``sub``/``cat`` nodes) and only the client
+decodes it.  A worker reply that is not an envelope is a 502.
+
+*Cache routes.*  ``/cache/get`` answers the first hit among the alive
+workers, asked in URL order (each probe counts in that worker's
+``/cache/stats``), a miss only when every one missed; ``/cache/put``
+stores on the least-loaded alive worker.  For one cluster-wide store,
+give every worker the same sqlite file (``--cache sqlite:PATH``
+without ``{i}``).
 
 Worker membership is the :class:`~repro.cluster.pool.WorkerPool`, the
 workers the coordinator was constructed with.  Pull probes of each
@@ -49,12 +55,13 @@ worker's ``/healthz`` are the only liveness signal.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.cluster.pool import WorkerPool
 from repro.core.pipeline import PlanRequest, PlanResult
 from repro.core.vectorize import VectorGroup
+from repro.service import wire
 from repro.service.client import (
     PlanServiceError,
     PlanServiceUnavailable,
@@ -82,20 +89,13 @@ def _least_loaded(loads: Dict[str, int]) -> str:
 
 
 class _Unit:
-    """One dispatchable piece of a ``/plan_batch``: item + reassembly slot.
+    """One dispatchable piece of a ``/plan_batch``; ``offset`` places a
+    :class:`VectorGroup` shard in its group (``None``: shipped whole)."""
 
-    ``index`` is the position in the client's item list; for a sharded
-    :class:`VectorGroup`, ``offset``/``size`` locate this shard's
-    results inside the original group's result list.
-    """
+    __slots__ = ("item", "offset", "size")
 
-    __slots__ = ("item", "index", "offset", "size")
-
-    def __init__(
-        self, item: Any, index: int, offset: Optional[int] = None
-    ) -> None:
+    def __init__(self, item: Any, offset: Optional[int] = None) -> None:
         self.item = item
-        self.index = index
         self.offset = offset
         #: flat request count, the load unit dispatch balances on
         self.size = len(item.requests) if isinstance(item, VectorGroup) else 1
@@ -218,17 +218,12 @@ class ClusterCoordinator(FrontDoor):
 
     # -- dispatch ---------------------------------------------------------
 
-    def _units(self, items: Sequence[Any]) -> Tuple[List[_Unit], List[Any]]:
-        """Cut a ``/plan_batch`` into dispatchable units.
-
-        Returns the units plus a results skeleton: ``None`` per scalar
-        slot, a pre-sized list per VectorGroup slot that sharded units
-        fill by offset.
-        """
+    def _units(self, items: Sequence[Any]) -> List[_Unit]:
+        """Cut a ``/plan_batch`` into dispatchable units, in item order;
+        a sharded :class:`VectorGroup`'s shards follow in offset order."""
         n_alive = max(1, len(self.pool.alive()))
         units: List[_Unit] = []
-        skeleton: List[Any] = []
-        for index, item in enumerate(items):
+        for item in items:
             if (
                 isinstance(item, VectorGroup)
                 and n_alive > 1
@@ -245,28 +240,26 @@ class ClusterCoordinator(FrontDoor):
                         strategy=item.strategy,
                         requests=requests[offset:offset + size],
                     )
-                    units.append(_Unit(shard, index, offset))
+                    units.append(_Unit(shard, offset))
                     offset += size
-                skeleton.append([None] * len(requests))
             else:
-                units.append(_Unit(item, index))
-                skeleton.append(None)
-        return units, skeleton
+                units.append(_Unit(item))
+        return units
 
-    def plan(self, request: PlanRequest) -> PlanResult:
+    def plan(self, request: PlanRequest) -> wire.Relayed:
         return self.plan_items([request])[0]
 
     def plan_items(self, items: Sequence[Any]) -> List[Any]:
         """Plan a ``/plan_batch`` item list across the worker pool.
 
-        Same in/out contract as
-        :meth:`repro.service.server.PlanServer.plan_items` — a
+        The answer decodes to what
+        :meth:`repro.service.server.PlanServer.plan_items` answers — a
         :class:`PlanResult` per scalar item, a result list per
-        :class:`VectorGroup` — so the coordinator is a drop-in server
-        to every client.  Dispatch, sharding, and rerouting happen
-        here; see the module docstring for the failure semantics.
+        :class:`VectorGroup` — as :class:`~repro.service.wire.Relayed`
+        references into the workers' replies, a sharded group's joined
+        (:class:`~repro.service.wire.Joined`); see the module docstring.
         """
-        units, skeleton = self._units(items)
+        units = self._units(items)
         if not units:
             return []
         unit_results: List[Any] = [None] * len(units)
@@ -325,12 +318,16 @@ class ClusterCoordinator(FrontDoor):
                     )
                     span.meta["outcome"] = "ok"
                 try:
-                    outputs = self._client(url).plan_items(
-                        payload, trace=hop_ctx
+                    body = self._client(url).post_raw(
+                        "/plan_batch", payload, trace=hop_ctx
                     )
+                    if not body.startswith(wire.WIRE_MAGIC):
+                        raise PlanServiceError(
+                            f"{url} answered no envelope", code=502
+                        )
                     with lock:
-                        for u, out in zip(uids, outputs):
-                            unit_results[u] = out
+                        for j, u in enumerate(uids):
+                            unit_results[u] = wire.Relayed(body, j)
                 except PlanServiceUnavailable as exc:
                     if hop_span is not None:
                         span.meta["outcome"] = "unreachable"
@@ -372,50 +369,58 @@ class ClusterCoordinator(FrontDoor):
                 f"{self.max_reroutes + 1} dispatch round(s); "
                 "workers keep dying faster than they rejoin"
             )
-        # reassemble: shards fill their group's slots by offset
+        # reassemble: a sharded group joins its shards in offset order
         with obs.span("reassemble", units=len(units)):
-            for uid, unit in enumerate(units):
-                out = unit_results[uid]
+            answer: List[Any] = []
+            for unit, out in zip(units, unit_results):
                 if unit.offset is None:
-                    skeleton[unit.index] = out
+                    answer.append(out)
+                elif unit.offset == 0:
+                    answer.append(wire.Joined([out]))
                 else:
-                    skeleton[unit.index][
-                        unit.offset:unit.offset + unit.size
-                    ] = out
-        return skeleton
+                    answer[-1].parts.append(out)
+        return answer
 
     # -- cache proxying ---------------------------------------------------
 
-    def _route_cache(self, call) -> Any:
-        """Run one cache op on the least-loaded alive worker, with reroute."""
+    def _each_alive(self, call) -> Iterator[tuple[str, Any]]:
+        """``(url, call(client))`` per alive worker, in URL order; an
+        unreachable worker is marked dead and skipped."""
+        for worker in sorted(self.pool.alive(), key=lambda w: w.url):
+            try:
+                answer = call(self._client(worker.url))
+            except PlanServiceUnavailable as exc:
+                self.pool.mark_dead(worker.url, f"unreachable: {exc}")
+                continue
+            yield worker.url, answer
+
+    def cache_get(self, key: Hashable) -> Optional[PlanResult]:
+        """The first alive worker's hit; a miss only if every one missed."""
+        answered = False
+        for _, hit in self._each_alive(lambda c: c.cache_get(key)):
+            if hit is not None:
+                return hit
+            answered = True
+        if not answered:
+            raise NoWorkersError("no alive worker answered /cache/get")
+        return None
+
+    def cache_put(self, key: Hashable, result: PlanResult) -> None:
         for _ in range(self.max_reroutes + 1):
             url = _least_loaded({w.url: w.load for w in self.pool.alive()})
             try:
-                return call(self._client(url))
+                return self._client(url).cache_put(key, result)
             except PlanServiceUnavailable as exc:
                 self.pool.mark_dead(url, f"unreachable: {exc}")
         raise NoWorkersError(
             f"cache request unplaced after {self.max_reroutes + 1} round(s)"
         )
 
-    def cache_get(self, key: Hashable) -> Optional[PlanResult]:
-        return self._route_cache(lambda c: c.cache_get(key))
-
-    def cache_put(self, key: Hashable, result: PlanResult) -> None:
-        self._route_cache(lambda c: c.cache_put(key, result))
-
     def cache_clear(self) -> dict:
         """Clear every alive worker's store; report how many answered."""
-        cleared = 0
-        alive = self.pool.alive()
-        if not alive:
+        if not self.pool.alive():
             raise NoWorkersError("no alive workers to clear")
-        for worker in alive:
-            try:
-                self._client(worker.url).cache_clear()
-                cleared += 1
-            except PlanServiceUnavailable as exc:
-                self.pool.mark_dead(worker.url, f"unreachable: {exc}")
+        cleared = len(list(self._each_alive(lambda c: c.cache_clear())))
         return {"cleared": True, "workers_cleared": cleared}
 
     def cache_stats(self) -> dict:
@@ -425,12 +430,7 @@ class ClusterCoordinator(FrontDoor):
         like :class:`~repro.service.client.HTTPPlanCache` parse it
         unchanged) and adds a per-worker breakdown under ``workers``.
         """
-        per_worker: Dict[str, dict] = {}
-        for worker in self.pool.alive():
-            try:
-                per_worker[worker.url] = self._client(worker.url).cache_stats()
-            except PlanServiceUnavailable as exc:
-                self.pool.mark_dead(worker.url, f"unreachable: {exc}")
+        per_worker = dict(self._each_alive(lambda c: c.cache_stats()))
         live = {
             url: payload
             for url, payload in per_worker.items()

@@ -322,12 +322,19 @@ class ServiceClient:
     def post(
         self, path: str, payload: Any, *, trace: Optional[TraceContext] = None
     ) -> Any:
-        """POST an envelope, return the response envelope's payload.
+        """POST an envelope, return the (maybe relayed) reply's payload.
 
         ``trace`` propagates an existing trace context; without one,
         ``trace_sample`` may originate a fresh sampled trace for this
         call.
         """
+        body = self.post_raw(path, payload, trace=trace)
+        return wire.unpack_v2(body, relayed=True)
+
+    def post_raw(
+        self, path: str, payload: Any, *, trace: Optional[TraceContext] = None
+    ) -> bytes:
+        """:meth:`post`, returning the response envelope undecoded."""
         ctx = self._trace_for(trace)
         data = wire.pack_v2(payload)
         if ctx is not None and ctx.sampled and self.span_recorder is not None:
@@ -342,12 +349,8 @@ class ServiceClient:
                 service="client",
                 url=self.base_url,
             ):
-                body = self._request(
-                    path, data, wire.CONTENT_TYPE, trace=ctx
-                )
-        else:
-            body = self._request(path, data, wire.CONTENT_TYPE, trace=ctx)
-        return wire.unpack_v2(body)
+                return self._request(path, data, wire.CONTENT_TYPE, trace=ctx)
+        return self._request(path, data, wire.CONTENT_TYPE, trace=ctx)
 
     def get_json(self, path: str) -> dict:
         """GET a JSON control endpoint (``/healthz``, ``/cache/stats``)."""

@@ -28,6 +28,12 @@ clean :class:`WireError` before any byte of the body is decoded.  A
 custom strategy whose params or detail carry types the codec does not
 know cannot be encoded: :func:`pack_v2` raises :class:`WireError`
 naming the type.
+
+*Relaying.*  :class:`Relayed` and :class:`Joined` encode as ``["sub", k,
+j]`` (element ``j`` of the list payload of the envelope carried verbatim
+as byte frame ``k``) and ``["cat", sub, ...]`` (those lists joined), so
+the cluster coordinator forwards its workers' replies undecoded.  Only
+``unpack_v2(data, relayed=True)``, for a client's replies, accepts them.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +65,19 @@ PROFILE_BINARY = "binary-v2"
 
 class WireError(ValueError):
     """The bytes on the wire are not a valid envelope (or wrong version)."""
+
+
+class Relayed(NamedTuple):
+    """Element ``position`` of the list payload of a peer's envelope."""
+
+    envelope: bytes
+    position: int
+
+
+class Joined(NamedTuple):
+    """The concatenation of the lists its :class:`Relayed` parts hold."""
+
+    parts: List[Relayed]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +168,8 @@ def _load_codec() -> None:
             Processor: _enc_processor,
             Partition: _enc_partition,
             Rectangle: _enc_rectangle,
+            Relayed: _enc_relayed,
+            Joined: _enc_joined,
         }
     )
     for cls in _comm_model_registry().values():
@@ -171,6 +192,8 @@ def _load_codec() -> None:
             "cm": _dec_comm_model,
             "part": _dec_partition,
             "rect": _dec_rectangle,
+            "sub": _dec_sub,
+            "cat": _dec_cat,
         }
     )
     _CODEC_READY = True
@@ -373,6 +396,22 @@ def _enc_rectangle(obj, frames):
     ]
 
 
+def _enc_relayed(obj, frames):
+    # frame each envelope once: its whole uint8 view has it as base
+    for k, frame in enumerate(frames):
+        if frame.base is obj.envelope and frame.dtype == np.uint8:
+            if frame.size == len(obj.envelope):
+                break
+    else:
+        k = len(frames)
+        frames.append(np.frombuffer(obj.envelope, dtype=np.uint8))
+    return ["sub", k, int(obj.position)]
+
+
+def _enc_joined(obj, frames):
+    return ["cat", *[_enc_relayed(part, frames) for part in obj.parts]]
+
+
 def _decode(node: Any, frames: Sequence[np.ndarray]) -> Any:
     """Rebuild the object a tagged node describes."""
     if type(node) is not list:
@@ -532,6 +571,54 @@ def _dec_rectangle(node, frames):
     )
 
 
+class _RelayFrame(np.ndarray):
+    """A byte frame, its envelope's ``payload`` and the elements ``used``."""
+
+
+def _dec_sub(node, frames):
+    # A reply decodes in proportion to its size: frames never overlap,
+    # each relayed envelope decodes once, plain, into a view of its
+    # frame ("nd" still reads the bytes), each element is taken once
+    # and a cat joins subs only.  Plain decodes pass a tuple of frames.
+    if type(frames) is not list:
+        raise WireError(f"unknown binary-v2 node tag {node[0]!r}")
+    _, k, j = node
+    if type(k) is not int or not 0 <= k < len(frames):
+        raise WireError(f"sub node names no frame {k!r}")
+    frame = frames[k]
+    if type(frame) is not _RelayFrame:
+        if frame.dtype != np.uint8 or frame.ndim != 1:
+            raise WireError("a relayed envelope must be a byte frame")
+        try:
+            payload = unpack_v2(frame.tobytes())
+        except WireError as exc:
+            raise WireError(f"relayed envelope in frame {k}: {exc}") from None
+        if type(payload) is not list:
+            raise WireError("a relayed envelope must hold a list")
+        frame = frames[k] = frame.view(_RelayFrame)
+        frame.payload, frame.used = payload, set()
+    if type(j) is not int or not 0 <= j < len(frame.payload):
+        raise WireError(f"sub node names no element {j!r} of frame {k}")
+    if j in frame.used:
+        raise WireError(f"element {j} of frame {k} is referenced twice")
+    frame.used.add(j)
+    return frame.payload[j]
+
+
+def _dec_cat(node, frames):
+    if type(frames) is not list:
+        raise WireError(f"unknown binary-v2 node tag {node[0]!r}")
+    joined = []
+    for part in node[1:]:
+        if type(part) is not list or part[:1] != ["sub"]:
+            raise WireError("a cat node joins sub references only")
+        value = _dec_sub(part, frames)
+        if type(value) is not list:
+            raise WireError("a cat node joins lists only")
+        joined.extend(value)
+    return joined
+
+
 def pack_v2(payload: Any) -> bytes:
     """Pack ``payload`` as a binary-v2 envelope (typed, pickle-free).
 
@@ -564,15 +651,8 @@ def pack_v2(payload: Any) -> bytes:
     )
 
 
-def unpack_v2(data: bytes) -> Any:
-    """Validate a binary-v2 envelope and return its payload.
-
-    Decoding never unpickles: the header is JSON, the frames are
-    rebuilt with ``np.frombuffer`` as read-only views sharing the
-    received buffer (zero-copy), and the tagged tree maps onto the
-    service's own types through the explicit codec.  Truncated or
-    garbled envelopes raise :class:`WireError`.
-    """
+def read_header(data: bytes) -> Tuple[dict, int]:
+    """An envelope's checked JSON header and where its frames start."""
     if not data.startswith(WIRE_MAGIC):
         raise WireError(
             "not a repro plan-service envelope (missing "
@@ -601,9 +681,23 @@ def unpack_v2(data: bytes) -> Any:
         )
     if "payload" not in header:
         raise WireError("not a repro plan-service envelope (no payload)")
+    return header, body_start
+
+
+def unpack_v2(data: bytes, *, relayed: bool = False) -> Any:
+    """Validate a binary-v2 envelope and return its payload.
+
+    Decoding never unpickles: the header is JSON, the frames are
+    rebuilt with ``np.frombuffer`` as read-only views sharing the
+    received buffer (zero-copy), and the tagged tree maps onto the
+    service's own types through the explicit codec.  Truncated or
+    garbled envelopes raise :class:`WireError`; pass ``relayed`` for a reply.
+    """
+    header, body_start = read_header(data)
     _load_codec()
     try:
         frames = []
+        end = body_start
         for dtype, shape, offset, nbytes in header.get("frames", []):
             dt = np.dtype(dtype)
             if dt.hasobject:
@@ -617,13 +711,16 @@ def unpack_v2(data: bytes) -> Any:
                     f"{nbytes} bytes"
                 )
             start = body_start + int(offset)
-            if start + nbytes > len(data):
+            if start < end:
+                raise WireError("binary-v2 frames overlap or are out of order")
+            end = start + nbytes
+            if end > len(data):
                 raise WireError("truncated binary-v2 envelope (frame cut short)")
             frames.append(
                 np.frombuffer(data, dtype=dt, count=count, offset=start)
                 .reshape([int(dim) for dim in shape])
             )
-        return _decode(header["payload"], frames)
+        return _decode(header["payload"], frames if relayed else tuple(frames))
     except WireError:
         raise
     except Exception as exc:

@@ -7,11 +7,16 @@
   identical results;
 * membership is the workers it was built with: no route adds one;
 * admission control answers 429 + Retry-After; no workers answers 503;
-* worker protocol errors are relayed, not retried;
+* worker protocol errors are relayed, not retried; a worker reply
+  that is not an envelope is a 502;
+* worker replies reach the client byte for byte, never re-encoded;
+* /cache/get finds an entry on whichever alive worker holds it;
 * /metrics aggregates workers into one cluster histogram.
 """
 
+import http.server
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -21,7 +26,9 @@ import pytest
 from repro.cluster.coordinator import ClusterCoordinator, NoWorkersError
 from repro.core.pipeline import PlanRequest
 from repro.core.session import PlannerSession
+from repro.core.vectorize import VectorGroup
 from repro.platform.star import StarPlatform
+from repro.service import wire
 from repro.service.client import PlanServiceError, ServiceClient
 from repro.service.server import PlanServer
 
@@ -167,6 +174,54 @@ class TestEquivalence:
         assert ServiceClient(coordinator.url).plan_items([]) == []
 
 
+def _post(url, payload):
+    """POST an envelope from outside any ServiceClient; the raw reply."""
+    request = urllib.request.Request(url, data=wire.pack_v2(payload))
+    with urllib.request.urlopen(request, timeout=30) as reply:
+        return reply.read()
+
+
+class TestRelay:
+    """Worker replies travel back undecoded inside the answer."""
+
+    def test_sharded_reply_holds_each_worker_reply_verbatim(
+        self, coordinator, workers, platform, monkeypatch
+    ):
+        replies = []
+        worker_urls = {w.url for w in workers}
+        send = ServiceClient._request
+
+        def recording(self, path, *args, **kwargs):
+            body = send(self, path, *args, **kwargs)
+            if self.base_url in worker_urls and path == "/plan_batch":
+                replies.append(body)
+            return body
+
+        monkeypatch.setattr(ServiceClient, "_request", recording)
+        requests = _requests(platform, 6)
+        group = VectorGroup(strategy="het", requests=tuple(requests))
+        answer = _post(f"{coordinator.url}/plan_batch", [group])
+        assert len(replies) == 3  # one 2-request shard per worker
+        for reply in replies:
+            assert answer.count(reply) == 1
+        assert wire.read_header(answer)[0]["payload"] == [
+            "l", ["cat", ["sub", 0, 0], ["sub", 1, 0], ["sub", 2, 0]]
+        ]
+        (actual,) = wire.unpack_v2(answer, relayed=True)
+        with PlannerSession(cache=False) as local:
+            assert_same_results(actual, local.plan_batch(requests))
+
+    def test_plan_reply_is_one_relayed_result(self, coordinator, platform):
+        request = PlanRequest(platform=platform, N=4321.0, strategy="hom")
+        answer = _post(f"{coordinator.url}/plan", request)
+        assert wire.read_header(answer)[0]["payload"] == ["sub", 0, 0]
+        with PlannerSession(cache=False) as local:
+            expected = local.plan(request)
+        assert_same_results(
+            [wire.unpack_v2(answer, relayed=True)], [expected]
+        )
+
+
 class TestReroute:
     def test_worker_death_mid_pool_reroutes(
         self, coordinator, workers, platform
@@ -227,6 +282,78 @@ class TestCacheRouting:
         client.cache_put(("custom", "key"), result)
         fetched = client.cache_get(("custom", "key"))
         assert_same_results([fetched], [result])
+
+    def test_get_finds_an_entry_on_a_busy_worker(
+        self, coordinator, workers, platform
+    ):
+        # the holder is asked last, and while busy it is the worker
+        # least-loaded dispatch would never pick
+        holder = max(workers, key=lambda w: w.url)
+        with ServiceClient(coordinator.url) as client:
+            result = client.plan(
+                PlanRequest(platform=platform, N=77.0, strategy="het")
+            )
+            with ServiceClient(holder.url) as direct:
+                direct.cache_put(("held", 1), result)
+            coordinator.pool.acquire(holder.url, 1)
+            try:
+                fetched = client.cache_get(("held", 1))
+            finally:
+                coordinator.pool.release(holder.url, 1)
+            assert fetched is not None
+            assert_same_results([fetched], [result])
+            assert client.cache_get(("never", "stored")) is None
+
+    def test_each_get_probe_counts_on_the_worker_it_reaches(
+        self, coordinator, workers, platform
+    ):
+        # worker stores count every lookup they serve, the coordinator's
+        # probes included: a hit on the last of three workers is two
+        # misses and a hit, a cluster-wide miss one miss per worker
+        ordered = sorted(workers, key=lambda w: w.url)
+        with ServiceClient(ordered[-1].url) as direct:
+            result = direct.plan(
+                PlanRequest(platform=platform, N=79.0, strategy="het")
+            )
+            direct.cache_put(("held", 3), result)
+        with ServiceClient(coordinator.url) as client:
+            before = client.cache_stats()
+            assert client.cache_get(("held", 3)) is not None
+            assert client.cache_get(("never", "stored")) is None
+            after = client.cache_stats()
+
+        def grew(field):
+            return [
+                after["workers"][w.url][field]
+                - before["workers"][w.url][field]
+                for w in ordered
+            ]
+
+        assert grew("hits") == [0, 0, 1]
+        assert grew("misses") == [2, 2, 1]
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] - before["misses"] == 5
+
+    def test_get_skips_an_unreachable_worker(
+        self, coordinator, workers, platform
+    ):
+        first, *_, holder = sorted(workers, key=lambda w: w.url)
+        with ServiceClient(coordinator.url) as client:
+            result = client.plan(
+                PlanRequest(platform=platform, N=78.0, strategy="het")
+            )
+            with ServiceClient(holder.url) as direct:
+                direct.cache_put(("held", 2), result)
+            first.close()
+            fetched = client.cache_get(("held", 2))
+        assert fetched is not None
+        assert_same_results([fetched], [result])
+        dead = [
+            w["url"]
+            for w in coordinator.pool.snapshot()["workers"]
+            if not w["alive"]
+        ]
+        assert dead == [first.url]
 
     def test_cache_clear_broadcasts(self, coordinator, workers, platform):
         client = ServiceClient(coordinator.url)
@@ -304,11 +431,57 @@ class TestAdmissionAndErrors:
         # nothing was marked dead: the worker answered
         assert len(coordinator.pool.alive()) == 3
 
+    def test_worker_reply_that_is_no_envelope_is_502(self, platform):
+        # an alive worker answering garbage is the worker's fault, not
+        # the client's: never a 400
+        stub = http.server.ThreadingHTTPServer(
+            ("127.0.0.1", 0), _NotAnEnvelope
+        )
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            coord = ClusterCoordinator(
+                port=0,
+                workers=[f"http://127.0.0.1:{stub.server_address[1]}"],
+                heartbeat_interval=5.0,
+            )
+            client = ServiceClient(coord.url, retries=0)
+            with coord, client, pytest.raises(PlanServiceError) as err:
+                client.plan(
+                    PlanRequest(platform=platform, N=10.0, strategy="het")
+                )
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=5)
+        assert err.value.code == 502
+        assert "worker error" in str(err.value)
+
     def test_malformed_batch_is_400(self, coordinator):
         client = ServiceClient(coordinator.url, retries=0)
         with pytest.raises(PlanServiceError) as err:
             client.post("/plan_batch", "not a list")
         assert err.value.code == 400
+
+
+class _NotAnEnvelope(http.server.BaseHTTPRequestHandler):
+    """A worker that is alive but answers every POST with HTML."""
+
+    def do_GET(self):  # noqa: N802 (http.server API)
+        self._send(b'{"status": "ok"}')
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self._send(b"<html>internal proxy error</html>")
+
+    def _send(self, body):
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
 
 
 class TestMetricsAggregation:

@@ -5,7 +5,8 @@ One module, parametrised over a :class:`PlanServer` and a
 workers, pins what a client sees whichever of the two answers it:
 
 * a pickle-v1 envelope on any envelope route is a 400 before anything
-  is unpickled;
+  is unpickled, and so is a request holding a relay node (only a
+  coordinator's reply may);
 * ``/cache/put`` stores nothing but a ``(key, PlanResult)`` pair, so no
   client can poison the plans every other client is served;
 * unknown GET and POST paths are 404s counted under ``other``;
@@ -120,12 +121,22 @@ class TestSafeWire:
         assert "not a repro plan-service envelope" in json.loads(data)["error"]
         assert not marker.exists()
 
+    @pytest.mark.parametrize("route", ["/plan", "/plan_batch"])
+    def test_relay_nodes_in_a_request_are_400(self, make_front, route):
+        front = make_front()
+        relayed = wire.Relayed(wire.pack_v2([_plan_request()]), 0)
+        body = wire.pack_v2(relayed if route == "/plan" else [relayed])
+        status, _, data = call(f"{front.url}{route}", body)
+        assert status == 400
+        assert "unknown binary-v2 node tag 'sub'" in json.loads(data)["error"]
+
     def test_safe_front_still_plans_binary(self, make_front):
         front = make_front()
         body = wire.pack_v2(_plan_request())
         status, _, data = call(f"{front.url}/plan", body)
         assert status == 200
-        assert wire.unpack_v2(data).plan.strategy == "hom"
+        # decoded as a client decodes a reply: a coordinator relays it
+        assert wire.unpack_v2(data, relayed=True).plan.strategy == "hom"
 
 
 class TestCachePut:

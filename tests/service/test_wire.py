@@ -360,6 +360,262 @@ class TestProfileNegotiationHelpers:
             wire.unpack_any(data)
 
 
+def _fixed_result(n=1000.0):
+    """A PlanResult built from fixed numbers, not by planning."""
+    from repro.blocks.metrics import StrategyResult
+    from repro.core.pipeline import PlanRequest, PlanResult
+    from repro.partition.rectangle import Partition
+
+    partition = Partition.from_arrays(
+        np.array([0.0, 0.5]),
+        np.array([0.0, 0.0]),
+        np.array([0.5, 0.5]),
+        np.array([1.0, 1.0]),
+        np.array([0, 1], dtype=np.int64),
+    )
+    plan = StrategyResult(
+        strategy="het",
+        N=n,
+        speeds=np.array([1.0, 2.0, 4.0, 8.0]),
+        comm_volume=2.5 * n,
+        finish_times=np.array([1.0, 1.25, 1.5, 1.125]),
+        imbalance=0.5,
+        detail={"partition": partition, "k": 3},
+    )
+    request = PlanRequest(platform=_sample_platform(), N=n, strategy="het")
+    return PlanResult(request=request, plan=plan, elapsed_s=0.0)
+
+
+def _coordinator_shaped():
+    """Two workers' replies relayed as a coordinator answers a batch of
+    a scalar request, a group sharded over both workers, and a scalar;
+    returns the answer and the plain list it must decode to."""
+    r = [_fixed_result(1000.0 + i) for i in range(5)]
+    first = wire.pack_v2([r[0], [r[1], r[2]]])
+    second = wire.pack_v2([[r[3]], r[4]])
+    answer = [
+        wire.Relayed(first, 0),
+        wire.Joined([wire.Relayed(first, 1), wire.Relayed(second, 0)]),
+        wire.Relayed(second, 1),
+    ]
+    return (first, second), wire.pack_v2(answer), [r[0], r[1:4], r[4]]
+
+
+def _relay_envelope(payload, sub_bodies):
+    """A hand-built envelope carrying ``sub_bodies`` as byte frames."""
+    frames, offset = [], 0
+    for body in sub_bodies:
+        frames.append(["|u1", [len(body)], offset, len(body)])
+        offset += len(body)
+    header = {
+        "format": wire.WIRE_FORMAT,
+        "version": 2,
+        "payload": payload,
+        "frames": frames,
+    }
+    return _envelope(header) + b"".join(sub_bodies)
+
+
+def _reply(data):
+    """Decode ``data`` as a client decodes a reply."""
+    return wire.unpack_v2(data, relayed=True)
+
+
+class TestRelay:
+    """``sub``/``cat`` nodes: worker replies relayed undecoded."""
+
+    def test_relayed_reply_decodes_to_the_plain_list(self):
+        (first, second), data, plain = _coordinator_shaped()
+        out = _reply(data)
+        assert [type(x).__name__ for x in out] == [
+            "PlanResult", "list", "PlanResult"
+        ]
+        # re-encoding compares every field and array byte for byte
+        assert wire.pack_v2(out) == wire.pack_v2(plain)
+        # each reply is framed once, verbatim
+        assert data.count(first) == 1 and data.count(second) == 1
+        header, _ = wire.read_header(data)
+        assert header["payload"] == [
+            "l",
+            ["sub", 0, 0],
+            ["cat", ["sub", 0, 1], ["sub", 1, 0]],
+            ["sub", 1, 1],
+        ]
+        assert [f[0] for f in header["frames"]] == ["|u1", "|u1"]
+
+    def test_each_relayed_envelope_decodes_once(self, monkeypatch):
+        body = wire.pack_v2([_fixed_result(float(n)) for n in range(1, 9)])
+        data = wire.pack_v2([wire.Relayed(body, j) for j in range(8)])
+        calls = []
+        unpack = wire.unpack_v2
+
+        def counting(data, *, relayed=False):
+            calls.append(relayed)
+            return unpack(data, relayed=relayed)
+
+        monkeypatch.setattr(wire, "unpack_v2", counting)
+        out = wire.unpack_v2(data, relayed=True)
+        assert [r.request.N for r in out] == [float(n) for n in range(1, 9)]
+        assert calls == [True, False]
+
+    def test_plain_envelopes_are_unchanged(self):
+        # stored sqlite rows and `repro cache export` files are these
+        # bytes: a change to them turns every stored row into a miss
+        import hashlib
+
+        data = wire.pack_v2(_fixed_result())
+        assert b'"sub"' not in data and b'"cat"' not in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "96e2d37f932347157614b083cd365b2e03922cedef89423c3aa48dec8d492a77"
+        )
+
+    def test_only_a_reply_decode_accepts_relay_nodes(self):
+        # request bodies, stored rows and imported files decode plain
+        _, data, _ = _coordinator_shaped()
+        with pytest.raises(wire.WireError, match="unknown .* tag 'sub'"):
+            wire.unpack_v2(data)
+        with pytest.raises(wire.WireError, match="unknown .* tag 'sub'"):
+            wire.unpack_any(data)
+        joined = _relay_envelope(["cat", ["sub", 0, 0]], [wire.pack_v2([[1]])])
+        with pytest.raises(wire.WireError, match="unknown .* tag 'cat'"):
+            wire.unpack_v2(joined)
+        assert _reply(joined) == [1]
+
+    def test_truncation_at_every_prefix_is_clean(self):
+        _, data, _ = _coordinator_shaped()
+        for cut in range(len(data)):
+            with pytest.raises(wire.WireError):
+                _reply(data[:cut])
+
+    # a flipped dtype string may name a deprecated NumPy alias
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_bit_flip_at_every_position_never_escapes_wireerror(self):
+        _, data, _ = _coordinator_shaped()
+        for pos in range(len(data)):
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << (pos % 8)
+            try:
+                _reply(bytes(flipped))
+            except wire.WireError:
+                pass  # rejected cleanly — the only acceptable failure
+
+    def test_nested_sub_is_refused(self):
+        inner = wire.pack_v2([1, 2])
+        relaying = _relay_envelope(["l", ["sub", 0, 0]], [inner])
+        data = _relay_envelope(["sub", 0, 0], [relaying])
+        with pytest.raises(
+            wire.WireError, match="frame 0: unknown .* tag 'sub'"
+        ):
+            _reply(data)
+
+    def test_cat_inside_a_relayed_envelope_is_refused(self):
+        joining = _envelope(
+            {
+                "format": wire.WIRE_FORMAT,
+                "version": 2,
+                "payload": ["l", ["cat", ["l", 1]]],
+            }
+        )
+        data = _relay_envelope(["sub", 0, 0], [joining])
+        with pytest.raises(
+            wire.WireError, match="frame 0: unknown .* tag 'cat'"
+        ):
+            _reply(data)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ["l", ["sub", 0, 0], ["sub", 0, 0]],
+            ["cat", ["sub", 0, 0], ["sub", 0, 0]],
+            ["l", ["sub", 0, 0], ["cat", ["sub", 0, 0]]],
+        ],
+    )
+    def test_an_element_referenced_twice_is_refused(self, payload):
+        data = _relay_envelope(payload, [wire.pack_v2([[1, 2]])])
+        with pytest.raises(wire.WireError, match="referenced twice"):
+            _reply(data)
+
+    def test_repeated_references_cannot_amplify(self):
+        # ~200 kB that would decode to ~4e8 list slots if one element
+        # could be referenced, and copied by cat, thousands of times
+        body = wire.pack_v2([[0] * 50_000])
+        data = _relay_envelope(["cat", *[["sub", 0, 0]] * 8_000], [body])
+        with pytest.raises(wire.WireError, match="referenced twice"):
+            _reply(data)
+
+    def test_overlapping_frames_are_refused(self):
+        # one relayed envelope named by two frames would decode twice
+        body = wire.pack_v2([[1]])
+        header = {
+            "format": wire.WIRE_FORMAT,
+            "version": 2,
+            "payload": ["l", ["sub", 0, 0], ["sub", 1, 0]],
+            "frames": [["|u1", [len(body)], 0, len(body)]] * 2,
+        }
+        with pytest.raises(wire.WireError, match="overlap"):
+            _reply(_envelope(header) + body)
+
+    @pytest.mark.parametrize("part", [["l", 1], ["cat", ["sub", 0, 0]], 3])
+    def test_cat_joins_sub_references_only(self, part):
+        data = _relay_envelope(["cat", part], [wire.pack_v2([[1]])])
+        with pytest.raises(wire.WireError, match="sub references only"):
+            _reply(data)
+
+    @pytest.mark.parametrize("j", [2, -1, 1.0, True, "0"])
+    def test_out_of_range_element_is_refused(self, j):
+        data = _relay_envelope(["sub", 0, j], [wire.pack_v2([1, 2])])
+        with pytest.raises(wire.WireError, match="no element"):
+            _reply(data)
+
+    @pytest.mark.parametrize("k", [1, -1, None])
+    def test_missing_frame_is_refused(self, k):
+        data = _relay_envelope(["sub", k, 0], [wire.pack_v2([1, 2])])
+        with pytest.raises(wire.WireError, match="no frame"):
+            _reply(data)
+
+    def test_non_list_payload_is_refused(self):
+        data = _relay_envelope(["sub", 0, 0], [wire.pack_v2((1, 2))])
+        with pytest.raises(wire.WireError, match="must hold a list"):
+            _reply(data)
+
+    def test_non_byte_frame_is_refused(self):
+        body = wire.pack_v2([1.5])
+        header = {
+            "format": wire.WIRE_FORMAT,
+            "version": 2,
+            "payload": ["sub", 0, 0],
+            "frames": [["<f8", [len(body) // 8], 0, len(body) // 8 * 8]],
+        }
+        data = _envelope(header) + body[: len(body) // 8 * 8]
+        with pytest.raises(wire.WireError, match="byte frame"):
+            _reply(data)
+
+    def test_cat_of_non_lists_is_refused(self):
+        body = wire.pack_v2([[1], 2])
+        data = _relay_envelope(["cat", ["sub", 0, 0], ["sub", 0, 1]], [body])
+        with pytest.raises(wire.WireError, match="joins lists only"):
+            _reply(data)
+
+    def test_garbled_relayed_envelope_names_its_frame(self):
+        body = wire.pack_v2([1])
+        data = _relay_envelope(["sub", 0, 0], [body[:-3] + b"!!!"])
+        with pytest.raises(wire.WireError, match="relayed envelope in frame 0"):
+            _reply(data)
+
+    def test_pickle_in_a_relayed_frame_is_never_unpickled(self, tmp_path):
+        marker = tmp_path / "unpickled"
+
+        class Marker:
+            def __reduce__(self):
+                return (open, (str(marker), "w"))
+
+        body = b"repro-plan-wire:v1\n" + pickle.dumps(Marker())
+        data = _relay_envelope(["sub", 0, 0], [body])
+        with pytest.raises(wire.WireError, match="missing"):
+            _reply(data)
+        assert not marker.exists()
+
+
 def _default_params(factory):
     """The keyword defaults ``factory`` declares, as request params."""
     return {
