@@ -3,8 +3,8 @@
 DESIGN.md calls out the partitioner as the load-bearing design choice of
 ``Comm_het``; this bench quantifies each alternative's ratio to the
 lower bound on the Figure-4 speed distributions.  The whole trial ×
-partitioner grid is expressed as one request batch and fanned out by a
-threaded :class:`PlannerSession` — the ``het`` strategy's
+partitioner grid is expressed as one request batch planned by a
+:class:`PlannerSession` — the ``het`` strategy's
 ``partitioner`` param selects the alternative, and with ``N = 1`` the
 plan's ratio-to-LB *is* the unit-square half-perimeter ratio the
 original loop computed.
@@ -47,7 +47,7 @@ def test_partitioner_ablation(benchmark):
             for platform in platforms
             for name in PARTITIONERS
         ]
-        with PlannerSession(backend="threaded") as session:
+        with PlannerSession() as session:
             results = session.plan_batch(requests)
         ratios = {name: [] for name in PARTITIONERS}
         for res in results:

@@ -32,9 +32,9 @@ from repro.platform.star import StarPlatform
 
 
 def _run_panel(speed_model, protocol):
-    # the threaded session fans each trial's strategy sweep out and
-    # memoises repeated instances; results are identical to serial
-    with PlannerSession(backend="threaded") as session:
+    # one session for the panel memoises repeated instances (every
+    # homogeneous trial is content-identical)
+    with PlannerSession() as session:
         return run_figure4(
             speed_model,
             processors=protocol["processors"],

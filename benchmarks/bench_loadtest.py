@@ -41,7 +41,7 @@ SEED = 20130521
 
 
 def test_loadtest_sustained_throughput():
-    with PlanServer(backend="threaded", jobs=2) as server:
+    with PlanServer() as server:
         report = run_loadtest(
             server.url,
             rps=TARGET_RPS,
@@ -78,7 +78,7 @@ def test_loadtest_sustained_throughput():
 
 def test_loadtest_traced_throughput():
     """The same run with 1-in-10 sampling: what tracing costs, live."""
-    with PlanServer(backend="threaded", jobs=2) as server:
+    with PlanServer() as server:
         report = run_loadtest(
             server.url,
             rps=TARGET_RPS,
@@ -112,7 +112,7 @@ def test_loadtest_traced_throughput():
 
 def test_slo_search_finds_a_sustainable_rate():
     """``find_max_rps`` ramps + bisects a live server under a real SLO."""
-    with PlanServer(backend="threaded", jobs=2) as server:
+    with PlanServer() as server:
         result = find_max_rps(
             server.url,
             slo_p99_ms=250.0,

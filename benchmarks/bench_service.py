@@ -4,9 +4,9 @@ Two questions the service tentpole must answer with numbers:
 
 * **remote batch throughput** — how many requests/second does a remote
   session push through a plan server, against the in-process serial
-  baseline?  (The wire adds latency; the server's backend and store
-  amortise it — the point is that the overhead is bounded and the
-  results identical.)
+  baseline?  (The wire adds latency; the server's store amortises
+  it — the point is that the overhead is bounded and the results
+  identical.)
 * **warm shared-cache speedup** — two *separate client processes*
   planning the same batch against one server: the first fills the
   shared store, the second must be served from it and finish faster
@@ -82,7 +82,7 @@ def test_remote_batch_throughput():
             _timed(lambda: local.plan_batch(requests)) for _ in range(3)
         )
 
-    with PlanServer(port=0, backend="serial", cache=False) as server:
+    with PlanServer(port=0, cache=False) as server:
         with PlannerSession(
             backend=f"remote:{server.host}:{server.port}", cache=False
         ) as remote:
@@ -133,7 +133,7 @@ def test_wire_profile_throughput():
 
     requests = _requests()
     group = VectorGroup(strategy="het", requests=tuple(requests))
-    with PlanServer(port=0, backend="serial", cache=False) as server:
+    with PlanServer(port=0, cache=False) as server:
         binary = RemoteBackend(server.url)
         scalar_results = binary.map(plan_request, requests)
         scalar_s = min(

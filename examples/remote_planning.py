@@ -26,7 +26,7 @@ from repro.service.server import PlanServer
 def main() -> None:
     platform = StarPlatform.from_speeds([1, 2, 4, 8])
 
-    with PlanServer(port=0, backend="serial", cache="memory") as server:
+    with PlanServer(port=0, cache="memory") as server:
         print(f"plan server up at {server.url}")
         print()
 

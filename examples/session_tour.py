@@ -6,13 +6,16 @@ Walks the `PlannerSession` API end to end in a few seconds:
 1. one session, one request — `plan()`;
 2. a full strategy sweep — `sweep()` — and the same sweep again,
    served entirely from the plan cache;
-3. a batch of requests fanned out on the `threaded` backend (and the
-   guarantee that every backend returns identical plans);
+3. a batch of requests in one `plan_batch()` call, fused through the
+   strategies' vectorised kernels (and the guarantee that the scalar
+   path returns the same plans);
 4. cache statistics, ignored-parameter sharing and invalidation;
 5. where the old free functions went (removed in 2.0).
 
 Run: ``python examples/session_tour.py``
 """
+
+import math
 
 from repro.core.pipeline import PlanRequest
 from repro.core.session import PlannerSession
@@ -41,22 +44,24 @@ def main() -> None:
     print(again.render())  # note the * rows and "3 hit(s)"
     print()
 
-    # --- 3. batched planning on a concurrent backend ------------------
-    # Backends change where planning runs, never what it computes:
-    # 'serial', 'threaded' and 'process' return identical plans.
+    # --- 3. one batch, vectorised -------------------------------------
+    # Misses sharing a strategy are planned by one NumPy kernel call;
+    # vectorize=False plans each alone and returns the same plans.
     requests = [
         PlanRequest(platform=platform, N=float(n), strategy=name)
         for n in (1_000, 2_000, 4_000)
         for name in ("hom", "het")
     ]
-    with PlannerSession(backend="threaded", jobs=4) as threaded:
-        batch = threaded.plan_batch(requests)
-        for res in batch:
-            print(
-                f"  N={res.request.N:>6g}  {res.strategy:<4} "
-                f"comm={res.comm_volume:>10.1f}  "
-                f"ratio={res.ratio_to_lower_bound:.3f}"
-            )
+    with PlannerSession(cache=False) as batched:
+        batch = batched.plan_batch(requests)
+        scalar = batched.plan_batch(requests, vectorize=False)
+    for res, ref in zip(batch, scalar):
+        assert math.isclose(res.comm_volume, ref.comm_volume, rel_tol=1e-12)
+        print(
+            f"  N={res.request.N:>6g}  {res.strategy:<4} "
+            f"comm={res.comm_volume:>10.1f}  "
+            f"ratio={res.ratio_to_lower_bound:.3f}"
+        )
     print()
 
     # --- 4. cache behaviour -------------------------------------------

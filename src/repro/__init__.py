@@ -25,11 +25,11 @@ Quickstart::
     plan = plan_outer_product(platform, N=10_000, strategy="het")
     print(plan.summary())
 
-Batched / concurrent / cached planning goes through a session
+Batched / vectorised / cached planning goes through a session
 (see :mod:`repro.core.session` and ``examples/session_tour.py``)::
 
     from repro import PlannerSession
-    with PlannerSession(backend="threaded") as session:
+    with PlannerSession() as session:
         sweep = session.sweep(platform, N=10_000)
 
 Planning also runs as a network service (:mod:`repro.service`,

@@ -8,7 +8,6 @@ console script; ``python -m repro`` works too)::
     repro plan --speeds 1 2 4 8 --N 10000
     repro plan --speeds 1 2 4 8 --strategy hom/k
     repro compare --speeds 1 2 4 8   # sweep every registered strategy
-    repro compare --speeds 1 2 4 8 --backend threaded --jobs 4
     repro compare --speeds 1 2 4 8 --no-vectorize   # scalar misses
     repro compare --speeds 1 2 4 8 --cost-model piecewise
     repro serve --port 8640 --cache tiered:plans.db   # HTTP plan server
@@ -25,7 +24,6 @@ console script; ``python -m repro`` works too)::
     repro trace spans.jsonl spans.jsonl.w0 spans.jsonl.w1
     repro compare --speeds 1 2 4 8 --cache http://localhost:8640
     repro cache-stats --speeds 1 2 4 8 --repeats 3
-    repro figure4 --model uniform --trials 100 --backend process
     repro figure4 --trials 100 --cache sqlite:plans.db   # resumable
     repro cache stats plans.db   # also: clear / export / import
     repro section2 --alphas 1.5 2 3
@@ -68,7 +66,6 @@ def _session_from_args(args: argparse.Namespace):
     return PlannerSession(
         backend=getattr(args, "backend", "serial"),
         cache=_cache_arg(args),
-        jobs=getattr(args, "jobs", None),
         vectorize=getattr(args, "vectorize", True),
     )
 
@@ -133,6 +130,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_session_options(parser: argparse.ArgumentParser) -> None:
+    """``--backend`` plus the planning options: the client commands."""
     parser.add_argument(
         "--backend",
         type=str,
@@ -143,6 +141,11 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
             "to offload to a `repro serve` instance (default: serial)"
         ),
     )
+    _add_planning_options(parser)
+
+
+def _add_planning_options(parser: argparse.ArgumentParser) -> None:
+    """Plan store and vectorisation options (servers take only these)."""
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -161,12 +164,6 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
             "interrupted sweep rerun against the same path resumes from "
             "disk hits; inspect it with `repro cache stats PATH`"
         ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker cap for concurrent backends (default: backend's choice)",
     )
     parser.add_argument(
         "--vectorize",
@@ -189,7 +186,6 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         backend=args.backend,
-        jobs=args.jobs,
         cache=_cache_arg(args),
         vectorize=args.vectorize,
     )
@@ -230,7 +226,6 @@ def _cmd_rho(args: argparse.Namespace) -> int:
             p=args.p,
             N=args.N,
             backend=args.backend,
-            jobs=args.jobs,
             cache=_cache_arg(args),
             vectorize=args.vectorize,
         ).render()
@@ -402,8 +397,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = PlanServer(
         host=args.host,
         port=args.port,
-        backend=args.backend,
-        jobs=args.jobs,
         cache=_cache_arg(args),
         vectorize=args.vectorize,
         max_inflight=args.max_inflight,
@@ -412,7 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"repro plan server listening on {server.url}", flush=True)
     print(
-        f"  backend={args.backend!r} cache={server.cache_spec!r} — "
+        f"  cache={server.cache_spec!r} — "
         "endpoints: /plan /plan_batch /cache/get /cache/put "
         "/cache/stats /healthz",
         flush=True,
@@ -442,8 +435,6 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         n=args.workers,
         host=args.host,
         port=args.port,
-        backend=args.backend,
-        jobs=args.jobs,
         cache=None if args.no_cache else (args.cache or "memory"),
         vectorize=args.vectorize,
         max_inflight=args.max_inflight,
@@ -882,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
             "assemble with `repro trace PATH`"
         ),
     )
-    _add_session_options(psv)
+    _add_planning_options(psv)
     psv.set_defaults(fn=_cmd_serve)
 
     pcl = sub.add_parser(
@@ -948,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
             "assemble with `repro trace PATH*`"
         ),
     )
-    _add_session_options(cl_up)
+    _add_planning_options(cl_up)
     cl_up.set_defaults(fn=_cmd_cluster_up)
     cl_status = cluster_sub.add_parser(
         "status", help="pool membership + request totals of a running cluster"

@@ -153,8 +153,6 @@ class LocalCluster:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        backend: str = "serial",
-        jobs: int | None = None,
         cache: "str | None" = "memory",
         vectorize: bool = True,
         max_inflight: int | None = None,
@@ -173,8 +171,6 @@ class LocalCluster:
         self.n = int(n)
         self.host = host
         self.port = int(port)
-        self.backend = backend
-        self.jobs = jobs
         self.cache = cache
         self.vectorize = vectorize
         self.max_inflight = max_inflight
@@ -209,11 +205,7 @@ class LocalCluster:
             self.host,
             "--port",
             "0",
-            "--backend",
-            self.backend,
         ]
-        if self.jobs is not None:
-            command += ["--jobs", str(self.jobs)]
         if self.cache in (None, "off"):
             command.append("--no-cache")
         else:

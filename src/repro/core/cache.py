@@ -262,7 +262,7 @@ class MemoryPlanCache(BasePlanStore):
 
         shared = MemoryPlanCache(max_entries=10_000)
         a = PlannerSession(cache=shared)
-        b = PlannerSession(cache=shared, backend="threaded")
+        b = PlannerSession(cache=shared, vectorize=False)
 
     ``put`` evicts least-recently-used entries beyond ``max_entries``
     and counts them in ``stats.evictions``; evictions never touch the

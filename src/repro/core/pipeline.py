@@ -8,8 +8,8 @@ what the strategy's constructor accepts, times the planning call and
 wraps the outcome — together with its communication lower bound — in a
 :class:`PlanResult`.
 
-:func:`plan_request` is the *raw* planner: no cache, no concurrency,
-importable by name so process-pool backends can pickle it.  Almost all
+:func:`plan_request` is the *raw* planner: no cache, no backend
+routing.  Almost all
 callers want :class:`repro.core.session.PlannerSession` instead, which
 routes batches of requests through an execution backend and a
 content-keyed plan cache.  (The historical free functions ``execute``
@@ -62,7 +62,8 @@ class PlanRequest:
     """One normalized planning job: which strategy on which instance.
 
     The unit of work everything downstream speaks — sessions cache it
-    (under its content key), backends pickle it to workers, and the
+    (under its content key), the ``remote`` backend ships it to a plan
+    server, and the
     vectorised path groups it with other requests sharing a strategy.
     Immutable and hashable-by-content, so a request can safely appear
     in many batches.
@@ -149,10 +150,9 @@ class PlanResult:
 def plan_request(request: PlanRequest) -> PlanResult:
     """Resolve, invoke and time one strategy through the registry.
 
-    The raw planner: no caching, no backend routing.  Module-level (and
-    therefore picklable) so the ``process`` backend can ship it to
-    worker processes.  Sessions wrap this; call it directly only when
-    you explicitly want to bypass them.
+    The raw planner: no caching, no backend routing.  Sessions wrap
+    this; call it directly only when you explicitly want to bypass
+    them.
     """
     factory = registry.get("strategy", request.strategy)
     kwargs = supported_kwargs(factory, request.params)
@@ -167,7 +167,7 @@ class PlanSweep:
     """Every requested strategy on one instance, uniformly accounted.
 
     ``results`` iterates in sorted strategy-name order regardless of
-    which backend planned it, so serial and concurrent sweeps render
+    which backend planned it, so local and remote sweeps render
     identical tables.  ``cache_hits``/``cache_misses`` count how this
     sweep's requests fared against the session's plan cache (``None``
     when the sweep ran without one).

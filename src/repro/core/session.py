@@ -2,10 +2,10 @@
 
 A session owns the three concerns the free-function pipeline lacked:
 
-* **backend routing** — every request batch is dispatched through a
-  registered execution backend (``serial`` / ``threaded`` /
-  ``process``, plus anything plugins register), so ``sweep`` and
-  ``plan_batch`` fan out concurrently instead of looping;
+* **backend routing** — every request batch's cache misses are
+  dispatched through a registered execution backend: ``serial`` plans
+  them in the calling thread, ``remote:HOST:PORT`` ships them to a
+  plan server, and plugins may register more;
 * **plan caching** — results are memoised under a content key
   (platform fingerprint × N × strategy × effective params), so the
   Figure-4 protocol's repeated queries and service-style workloads
@@ -24,15 +24,14 @@ Usage::
 
     from repro.core.session import PlannerSession
 
-    session = PlannerSession(backend="threaded", jobs=4)
+    session = PlannerSession()                       # serial, cached
     sweep = session.sweep(platform, N=10_000)        # all strategies
     sweep = session.sweep(platform, N=10_000)        # same → all hits
     print(sweep.render(), session.cache_stats().render(), sep="\\n")
 
 Results are bit-identical across backends: a backend only changes
 *where* :func:`repro.core.pipeline.plan_request` runs, never what it
-computes, and sweeps iterate in sorted strategy order regardless of
-completion order.
+computes, and sweeps iterate in sorted strategy order.
 
 The module-level :func:`default_session` (serial, caching) backs the
 façade in :mod:`repro.core.strategies`.
@@ -81,8 +80,6 @@ class PlannerSession:
         store between sessions, or hand over a durable
         :class:`~repro.core.cache.SQLitePlanCache` so plans survive
         the process and sweeps resume from disk.
-    jobs:
-        Worker cap forwarded to the backend (``None`` = its default).
     vectorize:
         ``True`` (default) routes each batch's cache misses through
         :func:`repro.core.vectorize.plan_batch_requests`, which fuses
@@ -103,14 +100,13 @@ class PlannerSession:
         backend: str | Backend = "serial",
         *,
         cache: bool | str | PlanStore = True,
-        jobs: int | None = None,
         vectorize: bool = True,
         **default_params: Any,
     ) -> None:
         if isinstance(backend, str):
             # spec form: a bare registered name, or "name:ARG" — e.g.
             # "remote:HOST:PORT" plans through a repro plan server
-            self.backend: Backend = backend_from_spec(backend, jobs=jobs)
+            self.backend: Backend = backend_from_spec(backend)
             self.backend_name = backend
         else:
             self.backend = backend
@@ -133,7 +129,7 @@ class PlannerSession:
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend workers (idempotent).
+        """Release the backend's connections (idempotent).
 
         A shared cache instance survives — only a store this session
         built itself from a spec string (``cache="sqlite:..."``) has
@@ -177,8 +173,8 @@ class PlannerSession:
         """Plan many requests; results align with ``requests`` by index.
 
         Cache lookups happen up front on the calling thread; only the
-        misses travel through the backend (concurrently, if it fans
-        out), and their results are cached on the way back.  With
+        misses travel through the backend, and their results are
+        cached on the way back.  With
         vectorisation on (the session default unless ``vectorize``
         overrides it), misses sharing a strategy are fused into one
         batched kernel call per group — each group is a single backend
@@ -218,8 +214,8 @@ class PlannerSession:
         if misses:
             miss_requests = [req for _, _, req in misses]
             # recorded on the calling thread, so it covers kernel time
-            # plus any backend fan-out wait — the whole planning cost
-            # of the batch as this request experienced it
+            # plus any remote round trip — the whole planning cost of
+            # the batch as this request experienced it
             with obs.span(
                 "plan_kernel",
                 misses=len(misses),
@@ -247,7 +243,7 @@ class PlannerSession:
 
         Deterministic by construction: strategy order is sorted by name
         whatever the backend, each strategy's plan is independent of the
-        others, and planning itself is pure — so serial, concurrent and
+        others, and planning itself is pure — so serial, remote and
         vectorised sweeps all render identical tables.  The sweep
         records how its requests fared against the plan cache.
         ``vectorize`` overrides the session default for this sweep (a

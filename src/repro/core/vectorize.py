@@ -47,10 +47,10 @@ tiered or sqlite-backed store filled by a vectorised sweep replays
 identically into a scalar one and vice versa — batched fills
 write through every tier exactly like scalar fills do.
 
-:func:`plan_request_group` is module-level and its :class:`VectorGroup`
-argument carries only picklable :class:`~repro.core.pipeline.PlanRequest`
-objects, so the ``process`` backend can ship whole groups to workers
-exactly like it ships scalar requests.
+A :class:`VectorGroup` carries only
+:class:`~repro.core.pipeline.PlanRequest` objects, so the ``remote``
+backend ships whole groups to a plan server exactly like it ships
+scalar requests.
 """
 
 from __future__ import annotations
@@ -130,7 +130,9 @@ class VectorGroup:
 
     Every request shares ``strategy`` and the same effective params, so
     a single ``factory(**kwargs)`` instance serves the whole group.
-    Picklable (requests are), hence shippable to process workers.
+    A group is one backend item, and crosses the wire whole to a
+    ``remote`` backend's plan server (the ``vg`` node of
+    :mod:`repro.service.wire`).
     """
 
     strategy: str
@@ -175,9 +177,9 @@ def plan_work_item(
     """Plan one backend item — a vector group or a scalar request.
 
     The single dispatch function :func:`plan_batch_requests` maps over
-    a mixed item list, so concurrent backends interleave scalar
-    fallbacks with vector groups instead of waiting on a per-kind
-    barrier.  Module-level and picklable, like both item types.
+    a mixed item list, so a backend receives scalar fallbacks and
+    vector groups in one ``map`` call (one ``/plan_batch`` round trip
+    for ``remote``).  Module-level, so ``remote`` can recognise it.
     """
     if isinstance(item, VectorGroup):
         return plan_request_group(item)
@@ -195,10 +197,9 @@ def plan_batch_requests(
     :func:`~repro.core.pipeline.plan_request`.  Both kinds of work
     travel through one ``backend.map`` call over a mixed item list
     when a backend is given (each vector group is a single item), so
-    vectorisation composes with ``serial`` / ``threaded`` / ``process``
-    routing instead of replacing it — and scalar fallbacks overlap
-    with kernel work on concurrent backends.  Results align with
-    ``requests`` by index.
+    vectorisation composes with ``serial`` / ``remote`` routing
+    instead of replacing it.  Results align with ``requests`` by
+    index.
     """
     results: List[PlanResult | None] = [None] * len(requests)
     grouped: dict[Hashable, List[int]] = {}

@@ -122,8 +122,8 @@ def run_figure4_point(
 
     Sweeps every registered strategy through ``session`` (default: the
     process-wide one), so the point's ``ratios``/``imbalances`` dicts
-    grow with the registry and the sweep fans out on whatever backend
-    the session routes to.
+    grow with the registry and the sweep plans on whatever backend the
+    session routes to.
     """
     speeds = make_speeds(speed_model, p, rng)
     platform = StarPlatform.from_speeds(speeds)
@@ -155,7 +155,6 @@ def run_figure4(
     imbalance_target: float = 0.01,
     session: PlannerSession | None = None,
     backend: str = "serial",
-    jobs: int | None = None,
     cache: "bool | str | PlanStore" = True,
     vectorize: bool = True,
 ) -> Figure4Result:
@@ -164,12 +163,12 @@ def run_figure4(
     ``speed_model`` ∈ {"homogeneous", "uniform", "lognormal"} selects
     4(a), 4(b) or 4(c).  Defaults mirror the paper (10–100 processors,
     100 trials, e ≤ 1%).  Trials plan through ``session`` when given;
-    otherwise a fresh one on ``backend`` (``serial`` / ``threaded`` /
-    ``process``, ``jobs`` workers) is used for the whole panel, so the
-    100-trial protocol fans out and repeated instances (notably the
-    homogeneous panel, where every trial is content-identical) hit the
-    plan cache instead of re-planning — pass ``cache=False`` to plan
-    every trial anew (e.g. to measure real per-trial planning time).
+    otherwise a fresh one on ``backend`` (``serial``, or
+    ``remote:HOST:PORT`` to plan on a server) is used for the whole
+    panel, so repeated instances (notably the homogeneous panel, where
+    every trial is content-identical) hit the plan cache instead of
+    re-planning — pass ``cache=False`` to plan every trial anew (e.g.
+    to measure real per-trial planning time).
 
     ``cache`` also accepts a spec string or any
     :class:`~repro.core.cache.PlanStore`, which makes the sweep
@@ -190,7 +189,7 @@ def run_figure4(
     stds = {name: np.empty(len(processors)) for name in names}
     own_session = session is None
     session = session or PlannerSession(
-        backend=backend, jobs=jobs, cache=cache, vectorize=vectorize
+        backend=backend, cache=cache, vectorize=vectorize
     )
     try:
         for i, p in enumerate(processors):

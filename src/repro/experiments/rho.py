@@ -57,7 +57,6 @@ def run_rho_experiment(
     N: float = 10_000.0,
     session: PlannerSession | None = None,
     backend: str = "serial",
-    jobs: int | None = None,
     cache: "bool | str | PlanStore" = True,
     vectorize: bool = True,
 ) -> RhoResult:
@@ -65,8 +64,8 @@ def run_rho_experiment(
 
     All (k, strategy) cells plan through one session — repeated runs
     (e.g. a report regenerating the table) are pure cache hits.  When
-    no ``session`` is given, one is built from ``backend`` / ``jobs``
-    / ``cache`` / ``vectorize`` exactly like
+    no ``session`` is given, one is built from ``backend`` / ``cache``
+    / ``vectorize`` exactly like
     :func:`~repro.experiments.figure4.run_figure4`; the platforms are
     deterministic in (k, p), so ``cache="sqlite:PATH"`` makes the
     table resumable — a rerun against the same path replays finished
@@ -74,24 +73,26 @@ def run_rho_experiment(
     """
     own_session = session is None
     session = session or PlannerSession(
-        backend=backend, jobs=jobs, cache=cache, vectorize=vectorize
+        backend=backend, cache=cache, vectorize=vectorize
     )
     rows = []
-    for k in ks:
-        speeds = half_fast_speeds(p, k=float(k))
-        platform = StarPlatform.from_speeds(speeds)
-        cmp = compare_strategies(
-            platform, N, strategies=("hom", "het"), session=session
-        )
-        rows.append(
-            RhoRow(
-                k=float(k),
-                p=p,
-                measured_rho=cmp.rho,
-                bound_exact=half_fast_rho_bound(float(k)),
-                bound_simple=half_fast_rho_simple(float(k)),
+    try:
+        for k in ks:
+            speeds = half_fast_speeds(p, k=float(k))
+            platform = StarPlatform.from_speeds(speeds)
+            cmp = compare_strategies(
+                platform, N, strategies=("hom", "het"), session=session
             )
-        )
-    if own_session:
-        session.close()
+            rows.append(
+                RhoRow(
+                    k=float(k),
+                    p=p,
+                    measured_rho=cmp.rho,
+                    bound_exact=half_fast_rho_bound(float(k)),
+                    bound_simple=half_fast_rho_simple(float(k)),
+                )
+            )
+    finally:
+        if own_session:
+            session.close()
     return RhoResult(rows=tuple(rows), N=float(N))

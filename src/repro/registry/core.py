@@ -4,7 +4,7 @@ A :class:`Registry` maps ``(kind, name)`` pairs to factories.  *Kinds*
 are the component families the library compares (cost models,
 outer-product strategies, partitioners, DLT solvers, simulations,
 execution backends); *names* are the short identifiers used in tables,
-traces and on the command line ("het", "peri-sum", "threaded", …).
+traces and on the command line ("het", "peri-sum", "serial", …).
 
 Components self-register at import time with the :func:`register`
 decorator; the registry itself never imports them eagerly.  Instead it
@@ -93,9 +93,9 @@ class Registry:
     """A set of named component catalogues, one per kind.
 
     Registration is import-time and single-threaded by convention, but
-    *lazy loading* must be thread-safe: concurrent backends (the
-    ``threaded`` execution backend) resolve components from worker
-    threads, so the first query of a kind may race.  A re-entrant lock
+    *lazy loading* must be thread-safe: a plan server's front door
+    resolves components from one handler thread per connection, so the
+    first query of a kind may race.  A re-entrant lock
     serialises provider/entry-point loading; reads after loading are
     pure dict lookups.
     """

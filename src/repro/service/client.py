@@ -5,7 +5,7 @@ Two registered components let any existing planning path offload to a
 
 * :class:`RemoteBackend` (kind ``backend``, spec ``remote:HOST:PORT``)
   — implements the ordinary backend contract by shipping its items
-  (picklable :class:`~repro.core.pipeline.PlanRequest`\\ s and
+  (:class:`~repro.core.pipeline.PlanRequest`\\ s and
   :class:`~repro.core.vectorize.VectorGroup`\\ s, exactly what sessions
   hand every backend) to the server's ``/plan_batch`` and returning the
   planned results in order.  ``PlannerSession(backend="remote:...")``,
@@ -454,9 +454,6 @@ class RemoteBackend(Backend):
     to ``/plan_batch`` — the server plans them through its own session,
     which is what makes its store a shared warm cache.  Any other ``fn``
     raises ``TypeError`` rather than silently planning the wrong thing.
-
-    ``jobs`` is accepted for interface parity but concurrency lives
-    server-side (the server's backend fans each batch out).
     """
 
     name = "remote"
@@ -464,13 +461,11 @@ class RemoteBackend(Backend):
     def __init__(
         self,
         address: str,
-        jobs: int | None = None,
         *,
         timeout: float = 60.0,
         retries: int = 2,
         retry_wait: float = 0.2,
     ) -> None:
-        super().__init__(jobs)
         self.client = ServiceClient(
             address, timeout=timeout, retries=retries, retry_wait=retry_wait
         )

@@ -1,13 +1,12 @@
 """The HTTP plan server: ``repro serve`` (stdlib-only, no new deps).
 
 One process owns a :class:`~repro.core.session.PlannerSession` — with
-any registered backend and any registered plan store behind it — and
-serves it to the network:
+any registered plan store behind it — and serves it to the network:
 
 ==================  ====  =================================================
 endpoint            verb  payload
 ==================  ====  =================================================
-``/healthz``        GET   JSON liveness: status, versions, backend, cache
+``/healthz``        GET   JSON liveness: status, versions, cache
 ``/metrics``        GET   JSON per-endpoint counts + latency histograms
 ``/cache/stats``    GET   JSON :class:`~repro.core.cache.CacheStats` view
 ``/plan``           POST  envelope(PlanRequest) → envelope(PlanResult)
@@ -36,12 +35,12 @@ planning items here) or explicitly (``cache="http://HOST:PORT"`` reads
 and writes it entry by entry via ``/cache/get`` / ``/cache/put``).
 
 Concurrency: the HTTP layer is thread-per-connection
-(:class:`http.server.ThreadingHTTPServer`), the session's store is
-wrapped in :class:`~repro.core.cache.ThreadSafePlanStore`, and the
-session's backend fans each batch out as usual — so concurrent clients
-plan concurrently and still see one consistent cache.  Clients retry
-only transport-level failures and 429 refusals — see
-:mod:`repro.service.client`.
+(:class:`http.server.ThreadingHTTPServer`) and the session's store is
+wrapped in :class:`~repro.core.cache.ThreadSafePlanStore`; each
+handler thread plans its own batch in place (the session's backend is
+always ``serial``) — so concurrent clients plan concurrently and still
+see one consistent cache.  Clients retry only transport-level failures
+and 429 refusals — see :mod:`repro.service.client`.
 """
 
 from __future__ import annotations
@@ -100,14 +99,13 @@ def stats_from_payload(payload: dict) -> CacheStats | None:
 class PlanServer(FrontDoor):
     """A planning session behind an HTTP front (see module docstring).
 
-    Parameters mirror :class:`~repro.core.session.PlannerSession`:
-    ``backend`` / ``jobs`` pick the execution backend the *server* fans
-    batches out on (``threaded`` suits a server; even ``remote:...``
-    works, chaining servers), ``cache`` is any store spec —
-    ``sqlite:PATH`` or ``tiered:PATH`` make the shared store durable,
-    which is what lets a restarted server keep serving disk hits.
-    ``port=0`` binds an ephemeral port (read it back from ``.port`` /
-    the ``repro serve`` banner).  The HTTP protocol, admission,
+    Parameters mirror :class:`~repro.core.session.PlannerSession`,
+    minus ``backend``: a server plans in its own process, on the
+    handler thread that received the request.  ``cache`` is any store
+    spec — ``sqlite:PATH`` or ``tiered:PATH`` make the shared store
+    durable, which is what lets a restarted server keep serving disk
+    hits.  ``port=0`` binds an ephemeral port (read it back from
+    ``.port`` / the ``repro serve`` banner).  The HTTP protocol, admission,
     metrics, access log and tracing are the shared
     :class:`~repro.service.frontdoor.FrontDoor`'s; this class supplies
     the operations its routes call.
@@ -118,8 +116,6 @@ class PlanServer(FrontDoor):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        backend: str = "serial",
-        jobs: int | None = None,
         cache: "bool | str | PlanStore" = True,
         vectorize: bool = True,
         max_inflight: int | None = None,
@@ -143,9 +139,7 @@ class PlanServer(FrontDoor):
         # mutable state they share, so serialise it and nothing else
         self._store = ThreadSafePlanStore(store) if store is not None else None
         self.session = PlannerSession(
-            backend=backend,
             cache=self._store if self._store is not None else False,
-            jobs=jobs,
             vectorize=vectorize,
         )
         self.cache_spec = cache if isinstance(cache, str) else (
@@ -177,9 +171,8 @@ class PlanServer(FrontDoor):
         :class:`VectorGroup` — but routes through the server session so
         every planned item lands in (and is served from) the shared
         store.  All items are flattened into *one* ``plan_batch`` call,
-        so the server's backend fans the whole wire batch out (and its
-        vectorise pass may fuse groups the client sent separately —
-        results are contract-equal either way).
+        so the server's vectorise pass may fuse groups the client sent
+        separately (results are contract-equal either way).
         """
         flat: List[PlanRequest] = []
         group_sizes: List[int | None] = []
@@ -217,9 +210,7 @@ class PlanServer(FrontDoor):
         return stats_payload(self.session.cache_stats())
 
     def health_payload(self) -> dict:
-        return self._health(
-            backend=self.session.backend_name, cache=self.cache_spec
-        )
+        return self._health(cache=self.cache_spec)
 
     def _on_close(self) -> None:
         self.session.close()
@@ -227,7 +218,4 @@ class PlanServer(FrontDoor):
             self._store.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<PlanServer {self.url} backend={self.session.backend_name!r} "
-            f"cache={self.cache_spec!r}>"
-        )
+        return f"<PlanServer {self.url} cache={self.cache_spec!r}>"

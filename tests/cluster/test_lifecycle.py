@@ -160,7 +160,7 @@ class TestLocalCluster:
     def test_startup_failure_reports_worker_output(self, tmp_path):
         cluster = LocalCluster(
             n=1,
-            backend="no-such-backend",
+            cache="no-such-store:x",
             state_path=str(tmp_path / "broken.json"),
             startup_timeout=20.0,
         )

@@ -50,3 +50,22 @@ areas_strategy = st.lists(
 def normalize(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     return arr / arr.sum()
+
+
+# ---- execution backends ----------------------------------------------------
+
+
+@pytest.fixture(params=["serial", "remote"])
+def backend_spec(request):
+    """The spec of every built-in execution backend, one per test run.
+
+    ``remote`` points at a fresh in-process plan server (no cache of
+    its own, so every item shipped to it is planned there).
+    """
+    if request.param == "serial":
+        yield "serial"
+        return
+    from repro.service.server import PlanServer
+
+    with PlanServer(port=0, cache=False) as server:
+        yield f"remote:{server.host}:{server.port}"

@@ -9,25 +9,27 @@ interleaved ``get``/``put`` traffic on overlapping keys and observe
 * consistent statistics — ``hits + misses`` equals the exact number
   of ``get`` calls issued, across all writers.
 
-The synthetic entries are real :class:`PlanResult` objects (pickled
-whole), keyed by index so a torn or misrouted row is detectable by
-content.  A final parametrized pass drives the same shared store
-through :class:`PlannerSession` on every execution backend — the
-configuration the CI backend matrix exercises.
+The synthetic entries are real :class:`PlanResult` objects (stored as
+binary-v2 envelopes), keyed by index so a torn or misrouted row is
+detectable by content.  The last two tests drive a shared store
+through real planners: sessions on every execution backend, and
+concurrent clients of one plan server whose store is a sqlite file.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from repro.blocks.metrics import StrategyResult
 from repro.core.cache import SQLitePlanCache
-from repro.core.pipeline import PlanRequest, PlanResult
+from repro.core.pipeline import PlanRequest, PlanResult, plan_request
 from repro.core.session import PlannerSession
 from repro.platform.star import StarPlatform
+from repro.service.client import ServiceClient
+from repro.service.server import PlanServer
 
 KEYS = 12
 THREADS = 8
@@ -151,25 +153,29 @@ def test_mixed_threads_and_processes(tmp_path):
     verify_final_state(path, total)
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
-def test_session_traffic_on_shared_sqlite(backend, tmp_path):
-    """Every execution backend drives one shared durable store safely.
-
-    Two sessions on the same backend share one sqlite cache; the
-    second session's identical batch must be all hits, with stats that
-    sum consistently — the arrangement the CI backend matrix runs.
-    """
+def mixed_requests():
+    """Nine requests, three per vectorisable strategy, on one platform."""
     platform = StarPlatform.from_speeds([1.0, 2.0, 4.0, 8.0])
-    requests = [
+    return [
         PlanRequest(platform=platform, N=float(n), strategy=strategy)
         for n in (500, 1000, 1500)
         for strategy in ("hom", "het", "hom/k")
     ]
+
+
+def test_session_traffic_on_shared_sqlite(backend_spec, tmp_path):
+    """Every execution backend drives one shared durable store safely.
+
+    Two sessions on the same backend share one sqlite cache; the
+    second session's identical batch must be all hits, with stats that
+    sum consistently.
+    """
+    requests = mixed_requests()
     path = tmp_path / "shared.db"
     store = SQLitePlanCache(path)
-    with PlannerSession(backend=backend, cache=store, jobs=2) as first:
+    with PlannerSession(backend=backend_spec, cache=store) as first:
         cold = first.plan_batch(requests)
-    with PlannerSession(backend=backend, cache=store, jobs=2) as second:
+    with PlannerSession(backend=backend_spec, cache=store) as second:
         warm = second.plan_batch(requests)
     stats = store.stats
     store.close()
@@ -181,3 +187,57 @@ def test_session_traffic_on_shared_sqlite(backend, tmp_path):
         assert np.array_equal(a.plan.finish_times, b.plan.finish_times)
     assert stats.lookups == 2 * len(requests)
     assert stats.hits == stats.misses == len(requests)
+
+
+def test_concurrent_clients_on_one_sqlite_server(tmp_path):
+    """Four clients post one mixed /plan_batch to a sqlite-backed server.
+
+    The server's handler threads plan concurrently against one durable
+    store: every reply must equal local scalar planning, and the
+    store must count each request's lookup exactly once.
+    """
+    clients = 4
+    requests = mixed_requests()
+    expected = [plan_request(req) for req in requests]
+    start = threading.Barrier(clients)
+    replies = [None] * clients
+    errors = []
+
+    def post(index, url):
+        client = ServiceClient(url)
+        try:
+            start.wait(timeout=30)
+            replies[index] = client.plan_items(requests)
+        except Exception as exc:  # surfaced in the main thread
+            errors.append(exc)
+        finally:
+            client.close()
+
+    spec = f"sqlite:{tmp_path / 'served.db'}"
+    with PlanServer(port=0, cache=spec) as server:
+        threads = [
+            threading.Thread(target=post, args=(i, server.url))
+            for i in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        probe = ServiceClient(server.url)
+        stats = probe.get_json("/cache/stats")
+        probe.close()
+
+    assert not errors, errors
+    for reply in replies:
+        assert len(reply) == len(requests)
+        for got, want in zip(reply, expected):
+            assert got.request.strategy == want.request.strategy
+            np.testing.assert_allclose(
+                got.comm_volume, want.comm_volume, rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                got.plan.finish_times, want.plan.finish_times, rtol=1e-12
+            )
+    assert stats["lookups"] == clients * len(requests)
+    assert stats["hits"] + stats["misses"] == stats["lookups"]

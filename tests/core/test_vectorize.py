@@ -144,13 +144,12 @@ class TestSessionEquivalence:
             vector_results = vectorised.plan_batch(requests)
         assert_results_equivalent(scalar_results, vector_results)
 
-    @pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
-    def test_every_backend_matches_serial_scalar(self, backend):
+    def test_every_backend_matches_serial_scalar(self, backend_spec):
         requests = figure4_batch(trials=2, sizes=(8,))
         with PlannerSession(cache=False, vectorize=False) as reference:
             expected = reference.plan_batch(requests)
         with PlannerSession(
-            backend=backend, jobs=2, cache=False, vectorize=True
+            backend=backend_spec, cache=False, vectorize=True
         ) as session:
             got = session.plan_batch(requests)
         assert_results_equivalent(expected, got)

@@ -88,3 +88,32 @@ class TestRho:
     def test_render(self):
         text = run_rho_experiment(ks=(4,), p=6, N=500.0).render()
         assert "rho" in text
+
+    def test_owned_session_closed_when_a_cell_fails(self, monkeypatch):
+        """A failing (k, strategy) cell must not leak the session the
+        experiment built (its sqlite connection or remote pool)."""
+        import repro.experiments.rho as rho
+        from repro.core.session import PlannerSession
+
+        closed = []
+
+        class RecordingSession(PlannerSession):
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        real = rho.compare_strategies
+        calls = []
+
+        def fail_on_second_k(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("planning failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rho, "PlannerSession", RecordingSession)
+        monkeypatch.setattr(rho, "compare_strategies", fail_on_second_k)
+        with pytest.raises(RuntimeError, match="planning failed"):
+            rho.run_rho_experiment(ks=(1, 4, 9), p=6, N=500.0)
+        assert len(calls) == 2
+        assert len(closed) == 1

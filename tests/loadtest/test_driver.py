@@ -23,7 +23,7 @@ from repro.service.server import PlanServer
 
 @pytest.fixture(scope="module")
 def server():
-    with PlanServer(backend="threaded", jobs=2) as srv:
+    with PlanServer() as srv:
         yield srv
 
 
@@ -140,8 +140,7 @@ class TestAgainstPlanServer:
 
 class TestAgainstCoordinator:
     def test_counts_match_merged_metrics_exactly(self):
-        with PlanServer(backend="serial") as w1, \
-                PlanServer(backend="serial") as w2:
+        with PlanServer() as w1, PlanServer() as w2:
             with ClusterCoordinator(
                 workers=[w1.url, w2.url], heartbeat_interval=30.0
             ) as coordinator:

@@ -17,7 +17,7 @@ from repro.service.server import PlanServer
 
 @pytest.fixture(scope="module")
 def server():
-    with PlanServer(backend="threaded", jobs=2) as srv:
+    with PlanServer() as srv:
         yield srv
 
 

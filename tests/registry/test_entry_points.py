@@ -41,7 +41,7 @@ class TestEntryPointDiscovery:
     def test_callable_plugin_registers_components(self, stub_entry_points):
         def install(registry):
             registry.add("strategy", "ep-strategy", lambda: "from plugin")
-            registry.add("backend", "ep-backend", lambda jobs=None: "backend")
+            registry.add("backend", "ep-backend", lambda: "backend")
 
         stub_entry_points.append(_StubEntryPoint("my-plugin", install))
         reg = Registry()

@@ -115,7 +115,7 @@ class TestSessionSweep:
             assert sweep.ratios[name] == res.plan.ratio_to_lower_bound
 
     def test_iteration_order_sorted(self, heterogeneous_platform):
-        """Serial and concurrent backends must render identical tables."""
+        """Sweeps iterate sorted, so every backend renders one table."""
         sweep = default_session().sweep(
             heterogeneous_platform, 1000.0, strategies=("hom/k", "het", "hom")
         )

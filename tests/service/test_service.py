@@ -73,7 +73,9 @@ class TestHealthAndStats:
         health = ServiceClient(f"{server.host}:{server.port}").healthz()
         assert health["status"] == "ok"
         assert health["wire_version"] == 2
-        assert health["backend"] == "serial"
+        assert health["cache"] == "memory"
+        # a server always plans in its own process: no backend field
+        assert "backend" not in health
 
     def test_cache_stats_endpoint_is_plain_json(self, server):
         with urllib.request.urlopen(f"{server.url}/cache/stats") as resp:

@@ -72,12 +72,21 @@ class TestCommands:
     def test_compare_backend_flag(self, capsys):
         rc = main(
             ["compare", "--speeds", "1", "2", "4", "--N", "500",
-             "--backend", "threaded", "--jobs", "2"]
+             "--backend", "serial"]
         )
         out = capsys.readouterr().out
         assert rc == 0
         assert "Strategy sweep" in out
         assert "cache:" in out
+        # the pooled backends are gone: naming one is a user error
+        rc = main(
+            ["compare", "--speeds", "1", "2", "--backend", "threaded"]
+        )
+        assert rc == 2
+        assert (
+            "unknown backend 'threaded'; expected one of "
+            "('remote', 'serial')" in capsys.readouterr().err
+        )
 
     def test_compare_no_cache(self, capsys):
         rc = main(
@@ -115,17 +124,17 @@ class TestCommands:
     def test_plan_strategy_with_backend(self, capsys):
         rc = main(
             ["plan", "--speeds", "1", "2", "--N", "500",
-             "--strategy", "het", "--backend", "process"]
+             "--strategy", "het", "--backend", "serial"]
         )
         out = capsys.readouterr().out
         assert rc == 0
         assert "planned in" in out or "served from cache" in out
-
-    def test_nonpositive_jobs_rejected_cleanly(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--speeds", "1", "2", "--jobs", "0"])
-        assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        rc = main(
+            ["plan", "--speeds", "1", "2", "--N", "500",
+             "--strategy", "het", "--backend", "process"]
+        )
+        assert rc == 2
+        assert "unknown backend 'process'" in capsys.readouterr().err
 
     def test_figure4_no_cache(self, capsys):
         rc = main(
@@ -139,8 +148,9 @@ class TestCommands:
         rc = main(["list", "backend"])
         out = capsys.readouterr().out
         assert rc == 0
-        for name in ("serial", "threaded", "process"):
-            assert name in out
+        lines = out.strip().splitlines()
+        assert lines[0] == "backend (2 registered):"
+        assert [line.split()[0] for line in lines[1:]] == ["remote", "serial"]
 
     def test_seed_threaded_through(self, capsys):
         main(["--seed", "7", "sort", "--n", "5000"])
@@ -174,15 +184,27 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8640
-        assert args.backend == "serial"
+        # a server always plans in its own process
+        assert not hasattr(args, "backend")
 
-    def test_serve_accepts_session_options(self):
+    def test_serve_accepts_session_options(self, capsys):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--backend", "threaded",
-             "--cache", "memory:64", "--jobs", "2"]
+            ["serve", "--port", "0", "--cache", "memory:64",
+             "--no-vectorize"]
         )
         assert args.port == 0
         assert args.cache == "memory:64"
+        assert args.vectorize is False
+        for argv in (
+            ["serve", "--jobs", "2"],
+            ["serve", "--backend", "serial"],
+            ["cluster", "up", "--jobs", "2"],
+            ["cluster", "up", "--backend", "serial"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBackendSpecs:
@@ -202,3 +224,22 @@ class TestBackendSpecs:
         err = capsys.readouterr().err
         assert rc == 2
         assert "cannot reach plan server" in err
+
+    def test_empty_remote_address_is_clean_error(self, capsys):
+        rc = main(
+            ["compare", "--speeds", "1", "2", "--backend", "remote:"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert (
+            "bad backend spec 'remote:': empty plan-server address" in err
+        )
+
+    def test_argument_to_serial_is_clean_error(self, capsys):
+        rc = main(
+            ["compare", "--speeds", "1", "2", "--backend", "serial:foo"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "bad backend spec 'serial:foo'" in err
+        assert "SerialBackend() takes no arguments" in err
