@@ -25,6 +25,7 @@ batch-planning and plan-store benchmarks; ``scripts/check_bench.py``
 diffs them against the committed ``BENCH_service.json`` trendline.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -186,7 +187,7 @@ from repro.core.session import PlannerSession
 import numpy as np
 from repro.platform.star import StarPlatform
 
-url = sys.argv[1]
+address = sys.argv[1]
 rng = np.random.default_rng(11)
 requests = [
     PlanRequest(
@@ -196,7 +197,7 @@ requests = [
     )
     for _ in range(48)
 ]
-session = PlannerSession(cache=url)
+session = PlannerSession(backend=f"remote:{address}", cache=False)
 start = time.perf_counter()
 results = session.plan_batch(requests)
 elapsed = time.perf_counter() - start
@@ -206,11 +207,15 @@ print(json.dumps({"elapsed_s": elapsed, "cached": cached, "n": len(results)}))
 """
 
 
-def _run_client(url: str) -> dict:
+def _run_client(address: str) -> dict:
+    # the server runs in this (pytest) process: collect its garbage now,
+    # or a full collection of the test session's heap (~40 ms on a
+    # 2-vCPU host) can land inside the one request a client times
+    gc.collect()
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CLIENT_SNIPPET, url],
+        [sys.executable, "-c", _CLIENT_SNIPPET, address],
         capture_output=True,
         text=True,
         env=env,
@@ -221,12 +226,13 @@ def _run_client(url: str) -> dict:
 
 
 def test_warm_shared_cache_across_processes():
-    """Client process 2 must be served from the store client process 1
-    warmed — zero planning, faster wall-clock."""
+    """Client process 2, planning through the server, must be served
+    from the store client process 1 warmed — zero planning, faster
+    wall-clock."""
     with PlanServer(port=0, cache="memory") as server:
-        url = f"http://{server.host}:{server.port}"
-        cold = _run_client(url)
-        warm = _run_client(url)
+        address = f"{server.host}:{server.port}"
+        cold = _run_client(address)
+        warm = _run_client(address)
 
     assert cold["cached"] == 0 and cold["n"] == 48
     assert warm["cached"] == 48, f"warm run replanned: {warm}"

@@ -2,14 +2,15 @@
 """Remote planning tour: one plan server, many transparent clients.
 
 Boots a :class:`repro.service.server.PlanServer` in-process (the same
-thing ``repro serve`` runs) and shows the three ways clients reach it:
+thing ``repro serve`` runs) and shows the one way clients reach it,
+``backend="remote:HOST:PORT"``:
 
-1. ``backend="remote:HOST:PORT"`` — the session ships whole planning
-   batches to the server and gets identical results back;
-2. ``cache="http://HOST:PORT"`` — the session plans locally but reads
-   and warms the *server's* store, so separate processes share hits;
-3. ``cache="tiered:http://HOST:PORT"`` — same, with a local memory
-   front so hot keys skip the network.
+1. the session ships whole planning batches to the server and gets
+   results identical to local planning back;
+2. a second session — a separate process in real deployments — asks
+   for the same sweep and is served from the server's store, which the
+   first session's planning warmed.  Only the server's own planning
+   writes that store.
 
 Everything is stdlib HTTP on 127.0.0.1; runs in a few seconds.
 
@@ -29,10 +30,11 @@ def main() -> None:
     with PlanServer(port=0, cache="memory") as server:
         print(f"plan server up at {server.url}")
         print()
+        spec = f"remote:{server.host}:{server.port}"
 
         # --- 1. remote backend: offload the whole sweep ---------------
         with PlannerSession() as local, PlannerSession(
-            backend=f"remote:{server.host}:{server.port}", cache=False
+            backend=spec, cache=False
         ) as remote:
             here = local.sweep(platform, N=10_000.0)
             there = remote.sweep(platform, N=10_000.0)
@@ -44,24 +46,15 @@ def main() -> None:
         print(there.render())
         print()
 
-        # --- 2. the server store as a shared cache --------------------
-        # A "second process" (fresh session, no local cache) sees the
-        # entries the remote sweep just planted server-side:
-        with PlannerSession(cache=f"http://{server.host}:{server.port}") as shared:
-            sweep = shared.sweep(platform, N=10_000.0)
+        # --- 2. a second session, served from the server's store ------
+        with PlannerSession(backend=spec, cache=False) as second:
+            again = second.sweep(platform, N=10_000.0)
+        served = sum(res.cached for res in again.results.values())
+        assert served == len(again.results)
         print(
-            f"shared-store sweep: {sweep.cache_hits} hit(s), "
-            f"{sweep.cache_misses} miss(es) — warmed by the remote run"
+            f"second session: {served}/{len(again.results)} plan(s) "
+            "served from the server's store, warmed by the first"
         )
-
-        # --- 3. tiered: memory front over the shared store ------------
-        with PlannerSession(
-            cache=f"tiered:http://{server.host}:{server.port}"
-        ) as tiered:
-            tiered.sweep(platform, N=10_000.0)   # fills the local front
-            tiered.sweep(platform, N=10_000.0)   # pure memory hits
-            stats = tiered.cache_stats()
-        print(f"tiered per-tier hits: {dict(stats.tier_hits)}")
         print()
         print("server-side view (what /cache/stats serves):")
         print(server.session.cache_stats().render())

@@ -10,7 +10,9 @@ whole operability story end to end, from outside the process:
    400 on every envelope route, the marker never existing;
    ``repro cluster status`` reports ``workers 3/3 alive``;
 2. membership is static: POST ``/workers/register`` (a URL nothing
-   listens on) is a 404 and the pool stays at 3 workers;
+   listens on) is a 404 and the pool stays at 3 workers; no route
+   writes a store: ``/cache/put`` and ``/cache/clear`` are 404s on the
+   coordinator and on a worker;
 3. the same Figure-4 panel rendered through the coordinator by two
    separate binary-v2 client processes is identical;
 4. SIGKILL-ing one worker (pid from the state file) is invisible to
@@ -109,7 +111,7 @@ class Marker:
 def assert_pickle_refused(url: str, marker: Path) -> None:
     """Every envelope route answers a pickle-v1 body 400, unpickled."""
     body = b"repro-plan-wire:v1\n" + pickle.dumps(Marker(str(marker)))
-    for route in ("/plan", "/plan_batch", "/cache/get", "/cache/put"):
+    for route in ("/plan", "/plan_batch", "/cache/get"):
         request = urllib.request.Request(f"{url}{route}", data=body)
         try:
             urllib.request.urlopen(request, timeout=10)
@@ -136,6 +138,18 @@ def assert_register_refused(url: str) -> None:
         raise SystemExit("/workers/register accepted a worker")
     total = get_json(f"{url}/cluster/status")["pool"]["total"]
     assert total == 3, f"pool grew to {total} workers"
+
+
+def assert_store_writes_refused(url: str) -> None:
+    """No route writes a store: the old cache write routes are 404s."""
+    for route in ("/cache/put", "/cache/clear"):
+        request = urllib.request.Request(f"{url}{route}", data=b"")
+        try:
+            urllib.request.urlopen(request, timeout=10)
+        except urllib.error.HTTPError as err:
+            assert err.code == 404, f"{route} answered {err.code}"
+        else:
+            raise SystemExit(f"{route} was answered")
 
 
 def assert_group_relayed(url: str) -> None:
@@ -242,8 +256,11 @@ def main() -> int:
             assert "workers 3/3 alive" in status, status
             assert "dispatch=" not in status, status
 
-            # 2. membership is the pool the coordinator started with
+            # 2. membership is the pool the coordinator started with,
+            # and only planning writes a store
             assert_register_refused(url)
+            assert_store_writes_refused(url)
+            assert_store_writes_refused(state["workers"][1]["url"])
 
             # 3. same panel from two separate client processes
             remote = PANEL_ARGS + ["--backend", f"remote:{address}"]

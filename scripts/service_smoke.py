@@ -9,9 +9,11 @@ both speaking binary-v2, the only wire format — and then asserts:
 1. ``/healthz`` advertises ``["binary-v2"]`` as the one wire profile;
 2. a pickle-v1 body whose unpickling would create a marker file is
    answered 400 on every envelope route, and the marker never exists;
-3. the two panels render identically (remote planning is
+3. no route writes the store: ``/cache/put`` and ``/cache/clear``
+   answer 404;
+4. the two panels render identically (remote planning is
    deterministic);
-4. ``/cache/stats`` shows the second client served entirely as sqlite
+5. ``/cache/stats`` shows the second client served entirely as sqlite
    disk hits from the store the first client warmed: hits, no misses.
 
 Exits non-zero on any failure; prints a BENCH-style JSON line with the
@@ -84,7 +86,7 @@ class Marker:
 def assert_pickle_refused(url: str, marker: Path) -> None:
     """Every envelope route answers a pickle-v1 body 400, unpickled."""
     body = b"repro-plan-wire:v1\n" + pickle.dumps(Marker(str(marker)))
-    for route in ("/plan", "/plan_batch", "/cache/get", "/cache/put"):
+    for route in ("/plan", "/plan_batch", "/cache/get"):
         request = urllib.request.Request(f"{url}{route}", data=body)
         try:
             urllib.request.urlopen(request, timeout=10)
@@ -93,6 +95,18 @@ def assert_pickle_refused(url: str, marker: Path) -> None:
         else:
             raise SystemExit(f"{route} accepted a pickle-v1 body")
     assert not marker.exists(), "a pickle-v1 body was unpickled"
+
+
+def assert_store_writes_refused(url: str) -> None:
+    """No route writes a store: the old cache write routes are 404s."""
+    for route in ("/cache/put", "/cache/clear"):
+        request = urllib.request.Request(f"{url}{route}", data=b"")
+        try:
+            urllib.request.urlopen(request, timeout=10)
+        except urllib.error.HTTPError as err:
+            assert err.code == 404, f"{route} answered {err.code}"
+        else:
+            raise SystemExit(f"{route} was answered")
 
 
 def main() -> int:
@@ -130,6 +144,7 @@ def main() -> int:
                 f"healthz must advertise binary-v2 only: {health}"
             )
             assert_pickle_refused(url, Path(tmp) / "unpickled")
+            assert_store_writes_refused(url)
 
             remote = PANEL_ARGS + ["--backend", f"remote:{address}"]
             first = run_cli(remote)

@@ -34,9 +34,9 @@ Batched / vectorised / cached planning goes through a session
 
 Planning also runs as a network service (:mod:`repro.service`,
 ``examples/remote_planning.py``): ``repro serve`` exposes a session
-over HTTP, ``PlannerSession(backend="remote:HOST:PORT")`` offloads
-sweeps to it, and ``cache="http://HOST:PORT"`` shares its warm plan
-store across client processes.
+over HTTP, and ``PlannerSession(backend="remote:HOST:PORT")`` offloads
+sweeps to it, so every client process shares the server's warm plan
+store.
 """
 
 from repro import registry

@@ -22,7 +22,7 @@ console script; ``python -m repro`` works too)::
     repro loadtest localhost:8650 --trace-sample 10   # 1-in-10 end-to-end
     repro loadtest localhost:8650 --slo-p99-ms 50 --find-max-rps
     repro trace spans.jsonl spans.jsonl.w0 spans.jsonl.w1
-    repro compare --speeds 1 2 4 8 --cache http://localhost:8640
+    repro compare --speeds 1 2 4 8 --backend remote:localhost:8640
     repro cache-stats --speeds 1 2 4 8 --repeats 3
     repro figure4 --trials 100 --cache sqlite:plans.db   # resumable
     repro cache stats plans.db   # also: clear / export / import
@@ -157,12 +157,13 @@ def _add_planning_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help=(
-            "plan store spec: memory[:SIZE], sqlite:PATH, tiered:PATH, "
-            "http://HOST:PORT (a `repro serve` instance's shared store) "
-            "or tiered:http://HOST:PORT (memory front over it); default: "
-            "memory. A sqlite/tiered path persists plans, so an "
-            "interrupted sweep rerun against the same path resumes from "
-            "disk hits; inspect it with `repro cache stats PATH`"
+            "plan store spec: memory[:SIZE], sqlite:PATH or tiered:PATH "
+            "(memory front over sqlite); default: memory. A sqlite/tiered "
+            "path persists plans, so an interrupted sweep rerun against "
+            "the same path resumes from disk hits; inspect it with "
+            "`repro cache stats PATH`. To share a `repro serve` "
+            "instance's store, plan through it with --backend "
+            "remote:HOST:PORT"
         ),
     )
     parser.add_argument(
@@ -406,14 +407,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"repro plan server listening on {server.url}", flush=True)
     print(
         f"  cache={server.cache_spec!r} — "
-        "endpoints: /plan /plan_batch /cache/get /cache/put "
-        "/cache/stats /healthz",
+        "endpoints: /plan /plan_batch /cache/get /cache/stats /healthz",
         flush=True,
     )
     print(
         "  point clients at it: "
-        f"--backend remote:{server.host}:{server.port} "
-        f"or --cache http://{server.host}:{server.port}  (Ctrl-C stops)",
+        f"--backend remote:{server.host}:{server.port}  (Ctrl-C stops)",
         flush=True,
     )
     try:
@@ -835,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     psv = sub.add_parser(
         "serve",
-        help="serve the planner over HTTP (/plan, /plan_batch, /cache/*)",
+        help="serve the planner over HTTP (/plan, /plan_batch, /cache/get)",
     )
     psv.add_argument(
         "--host",

@@ -13,7 +13,7 @@ pool of ordinary worker replicas:
   miss probes are marked dead and their in-flight batches are
   reassigned.
 * :mod:`repro.cluster.coordinator` — the HTTP front door: relays
-  ``/plan`` and ``/plan_batch`` replies undecoded, proxies ``/cache/*``,
+  ``/plan`` and ``/plan_batch`` replies undecoded, proxies ``/cache/get``,
   dispatches each unit to the least-loaded alive worker, shards
   vectorised groups across alive workers, retries dead workers' shards
   elsewhere (bounded, bit-identical results — the rtol=1e-12 contract

@@ -3,9 +3,9 @@
 :class:`ClusterCoordinator` is wire-compatible with a single
 :class:`~repro.service.server.PlanServer` — same endpoints, same
 binary-v2 envelopes, same JSON control surface — so every existing
-client (``backend="remote:HOST:PORT"``, ``cache="http://HOST:PORT"``,
-``repro figure4 --backend remote:...``) scales out by pointing at the
-coordinator instead of a worker.  What it adds:
+client (``backend="remote:HOST:PORT"``, ``repro figure4 --backend
+remote:...``) scales out by pointing at the coordinator instead of a
+worker.  What it adds:
 
 *Dispatch.*  One rule, the paper's demand-driven one (§4.1.1): each
 ``/plan_batch`` unit goes to the alive worker with the fewest items in
@@ -42,10 +42,10 @@ decodes it.  A worker reply that is not an envelope is a 502.
 
 *Cache routes.*  ``/cache/get`` answers the first hit among the alive
 workers, asked in URL order (each probe counts in that worker's
-``/cache/stats``), a miss only when every one missed; ``/cache/put``
-stores on the least-loaded alive worker.  For one cluster-wide store,
-give every worker the same sqlite file (``--cache sqlite:PATH``
-without ``{i}``).
+``/cache/stats``), a miss only when every one missed; ``/cache/stats``
+sums the workers' counters.  Each worker's store holds what that
+worker planned; for one cluster-wide store, give every worker the same
+sqlite file (``--cache sqlite:PATH`` without ``{i}``).
 
 Worker membership is the :class:`~repro.cluster.pool.WorkerPool`, the
 workers the coordinator was constructed with.  Pull probes of each
@@ -405,30 +405,11 @@ class ClusterCoordinator(FrontDoor):
             raise NoWorkersError("no alive worker answered /cache/get")
         return None
 
-    def cache_put(self, key: Hashable, result: PlanResult) -> None:
-        for _ in range(self.max_reroutes + 1):
-            url = _least_loaded({w.url: w.load for w in self.pool.alive()})
-            try:
-                return self._client(url).cache_put(key, result)
-            except PlanServiceUnavailable as exc:
-                self.pool.mark_dead(url, f"unreachable: {exc}")
-        raise NoWorkersError(
-            f"cache request unplaced after {self.max_reroutes + 1} round(s)"
-        )
-
-    def cache_clear(self) -> dict:
-        """Clear every alive worker's store; report how many answered."""
-        if not self.pool.alive():
-            raise NoWorkersError("no alive workers to clear")
-        cleared = len(list(self._each_alive(lambda c: c.cache_clear())))
-        return {"cleared": True, "workers_cleared": cleared}
-
     def cache_stats(self) -> dict:
         """Aggregate ``/cache/stats`` across workers.
 
-        The summed view keeps the single-server payload shape (clients
-        like :class:`~repro.service.client.HTTPPlanCache` parse it
-        unchanged) and adds a per-worker breakdown under ``workers``.
+        The summed view keeps the single-server payload shape and adds
+        a per-worker breakdown under ``workers``.
         """
         per_worker = dict(self._each_alive(lambda c: c.cache_stats()))
         live = {

@@ -27,13 +27,14 @@ kind ``"cache"``):
   reports across runs.  Safe for concurrent readers/writers across
   threads *and* processes (WAL journal, per-thread connections,
   single-statement atomic updates).
-* :class:`TieredPlanCache` (``tiered``) — memory front, a durable or
-  remote store behind: reads try memory first and *promote* back-tier
-  hits, writes go through to both tiers, and
-  :attr:`CacheStats.tier_hits` breaks hits down per tier.
-* ``http`` (:class:`repro.service.client.HTTPPlanCache`) — a plan
-  server's store, shared by many client processes; spec
-  ``http://HOST:PORT``, composable as ``tiered:http://HOST:PORT``.
+* :class:`TieredPlanCache` (``tiered``) — memory front, a durable
+  store behind: reads try memory first and *promote* back-tier hits,
+  writes go through to both tiers, and :attr:`CacheStats.tier_hits`
+  breaks hits down per tier.
+
+A plan server's store is not a cache kind: many client processes share
+it through ``backend="remote:HOST:PORT"``, and only the server's own
+planning writes it.
 
 :class:`ThreadSafePlanStore` wraps any store in an RLock for callers
 that drive one session from many threads (the plan server does).
@@ -232,25 +233,12 @@ class PlanStore(Protocol):
     def stats(self) -> CacheStats: ...
 
 
-class BasePlanStore:
-    """Shared helpers: session keying and a no-op ``close``."""
-
-    def key_for(
-        self, request: PlanRequest, factory: Callable[..., Any]
-    ) -> Hashable:
-        """The content key (:func:`plan_cache_key`) a session uses."""
-        return plan_cache_key(request, factory)
-
-    def close(self) -> None:
-        """Release any held resources (idempotent; memory stores no-op)."""
-
-
 @register(
     "cache",
     "memory",
     summary="In-process LRU plan cache (per-session, non-persistent)",
 )
-class MemoryPlanCache(BasePlanStore):
+class MemoryPlanCache:
     """An LRU map from plan content keys to :class:`PlanResult`.
 
     Not thread-safe by itself; sessions perform all cache traffic on
@@ -267,9 +255,8 @@ class MemoryPlanCache(BasePlanStore):
     ``put`` evicts least-recently-used entries beyond ``max_entries``
     and counts them in ``stats.evictions``; evictions never touch the
     hit/miss counters.  ``clear()`` drops every entry *and* resets all
-    statistics to zero.  ``key_for`` exposes the content key (platform
-    fingerprint × N × strategy + factory origin × effective params)
-    for external stores that want to mirror the session keying.
+    statistics to zero.  Keys are the session's content keys
+    (:func:`plan_cache_key`); the store never computes one itself.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -318,6 +305,9 @@ class MemoryPlanCache(BasePlanStore):
             evictions=self._evictions,
         )
 
+    def close(self) -> None:
+        """Nothing to release; present so every store closes alike."""
+
 
 #: the historical name; PR-2 code constructed ``PlanCache()`` directly
 PlanCache = MemoryPlanCache
@@ -345,7 +335,7 @@ def _is_export_row(row: Any) -> bool:
     "sqlite",
     summary="Durable sqlite-backed plan cache, shareable across processes",
 )
-class SQLitePlanCache(BasePlanStore):
+class SQLitePlanCache:
     """A durable plan store: one sqlite file, shareable and resumable.
 
     One row per content key — the :func:`encode_key` digest as primary
@@ -563,9 +553,9 @@ class SQLitePlanCache(BasePlanStore):
 @register(
     "cache",
     "tiered",
-    summary="Memory front + sqlite or http store behind (write-through)",
+    summary="Memory front + sqlite store behind (write-through)",
 )
-class TieredPlanCache(BasePlanStore):
+class TieredPlanCache:
     """Two-level store: a fast memory front over a durable back tier.
 
     * ``get`` tries memory first; a disk hit is *promoted* into memory
@@ -597,12 +587,14 @@ class TieredPlanCache(BasePlanStore):
                 raise ValueError(
                     "TieredPlanCache needs a sqlite path or a back-tier store"
                 )
-            if isinstance(path, str) and path.startswith(("http:", "https:")):
-                # "tiered:http://HOST:PORT" — a local memory front over
-                # a plan server's shared store (repro.service.client)
-                disk = cache_from_spec(path)
-            else:
-                disk = SQLitePlanCache(path)
+            if str(path).startswith(("http:", "https:")):
+                # a URL would become a sqlite file named after it
+                raise ValueError(
+                    f"{path!r} is not a file path; to share a plan "
+                    "server's store, plan through it with "
+                    "--backend remote:HOST:PORT"
+                )
+            disk = SQLitePlanCache(path)
         self.memory = memory if memory is not None else MemoryPlanCache(max_entries)
         self.disk = disk
 
@@ -646,7 +638,7 @@ class TieredPlanCache(BasePlanStore):
         )
 
 
-class ThreadSafePlanStore(BasePlanStore):
+class ThreadSafePlanStore:
     """An RLock-serialised wrapper making any store safe to share.
 
     The built-in memory store is single-thread by contract (sessions do
@@ -697,10 +689,7 @@ def cache_from_spec(spec: "str | PlanStore") -> PlanStore:
 
     * ``memory`` or ``memory:SIZE`` — in-process LRU (SIZE entries);
     * ``sqlite:PATH`` — durable store at PATH;
-    * ``tiered:PATH`` — memory front over a durable store at PATH;
-    * ``http://HOST:PORT`` — a plan server's shared store
-      (:class:`repro.service.client.HTTPPlanCache`); prefix with
-      ``tiered:`` for a local memory front over it.
+    * ``tiered:PATH`` — memory front over a durable store at PATH.
 
     An already-constructed store passes through unchanged, so APIs can
     accept ``cache="sqlite:plans.db"`` and ``cache=my_store`` alike.

@@ -214,10 +214,3 @@ class PlanSweep:
                 + ("  (* = served from cache)" if self.cache_hits else "")
             )
         return table
-
-
-def _sorted_results(
-    results: Mapping[str, PlanResult]
-) -> dict[str, PlanResult]:
-    """``results`` re-keyed in sorted strategy-name order."""
-    return {name: results[name] for name in sorted(results)}

@@ -45,10 +45,7 @@ PROVIDER_MODULES: dict[str, tuple[str, ...]] = {
         "repro.core.backends",
         "repro.service.client",
     ),
-    "cache": (
-        "repro.core.cache",
-        "repro.service.client",
-    ),
+    "cache": ("repro.core.cache",),
 }
 
 

@@ -7,24 +7,22 @@ seam and the PR-4 plan-store protocol:
   every binary payload travels in (pickle-free, magic line first).
 * :mod:`repro.service.server` — :class:`PlanServer` / ``repro serve``:
   a :class:`~repro.core.session.PlannerSession` behind a stdlib
-  threading HTTP server (``/plan``, ``/plan_batch``, ``/cache/*``,
-  ``/healthz``).
-* :mod:`repro.service.client` — :class:`RemoteBackend` (``backend``
-  kind, spec ``remote:HOST:PORT``) ships planning items to a server;
-  :class:`HTTPPlanCache` (``cache`` kind, spec ``http://HOST:PORT``)
-  makes the server's store a shared cache tier for many client
-  processes.
+  threading HTTP server (``/plan``, ``/plan_batch``, ``/cache/get``,
+  ``/cache/stats``, ``/healthz``).  Its store is written only by its
+  own planning, and many client processes share it as a warm cache.
+* :mod:`repro.service.client` — :class:`ServiceClient`, and
+  :class:`RemoteBackend` (``backend`` kind, spec ``remote:HOST:PORT``),
+  which ships planning items to a server.
 
-The remote components register under the ordinary ``backend`` /
-``cache`` kinds, so every existing planning path — sessions, the
-Figure-4 / ρ experiments, the CLI — offloads by switching a spec
-string, and the service contract is the session contract: results are
-bit-identical to local planning (the vectorise suite's ``rtol=1e-12``
-envelope), cache entries are interchangeable with every other store.
+The remote backend registers under the ordinary ``backend`` kind, so
+every existing planning path — sessions, the Figure-4 / ρ experiments,
+the CLI — offloads by switching a spec string, and the service
+contract is the session contract: results are bit-identical to local
+planning (the vectorise suite's ``rtol=1e-12`` envelope), cache
+entries are interchangeable with every other store.
 """
 
 from repro.service.client import (
-    HTTPPlanCache,
     PlanServiceError,
     RemoteBackend,
     ServiceClient,
@@ -33,7 +31,6 @@ from repro.service.server import PlanServer
 from repro.service.wire import WIRE_FORMAT, WIRE_VERSION, WireError
 
 __all__ = [
-    "HTTPPlanCache",
     "PlanServer",
     "PlanServiceError",
     "RemoteBackend",

@@ -1,25 +1,19 @@
-"""Clients for the plan server: remote backend + network plan store.
+"""The plan server's client, and the remote backend built on it.
 
-Two registered components let any existing planning path offload to a
-:class:`~repro.service.server.PlanServer` by switching one spec string:
+:class:`RemoteBackend` (kind ``backend``, spec ``remote:HOST:PORT``)
+lets any existing planning path offload to a
+:class:`~repro.service.server.PlanServer` by switching one spec string.
+It implements the ordinary backend contract by shipping its items
+(:class:`~repro.core.pipeline.PlanRequest`\\ s and
+:class:`~repro.core.vectorize.VectorGroup`\\ s, exactly what sessions
+hand every backend) to the server's ``/plan_batch`` and returning the
+planned results in order.  ``PlannerSession(backend="remote:...")``,
+``run_figure4(backend="remote:...")`` and ``repro figure4 --backend
+remote:...`` therefore offload whole sweeps with no other change, and
+every process pointed at one server shares its warm store: the server
+answers a request it planned before from that store.
 
-* :class:`RemoteBackend` (kind ``backend``, spec ``remote:HOST:PORT``)
-  — implements the ordinary backend contract by shipping its items
-  (:class:`~repro.core.pipeline.PlanRequest`\\ s and
-  :class:`~repro.core.vectorize.VectorGroup`\\ s, exactly what sessions
-  hand every backend) to the server's ``/plan_batch`` and returning the
-  planned results in order.  ``PlannerSession(backend="remote:...")``,
-  ``run_figure4(backend="remote:...")`` and ``repro figure4 --backend
-  remote:...`` therefore offload whole sweeps with no other change.
-* :class:`HTTPPlanCache` (kind ``cache``, spec ``http://HOST:PORT``) —
-  a :class:`~repro.core.cache.PlanStore` whose entries live in the
-  server's store, one ``/cache/get`` / ``/cache/put`` per lookup, so
-  many client *processes* share one warm cache.  Compose it with
-  :class:`~repro.core.cache.TieredPlanCache` for a local memory front
-  (``cache="tiered:http://HOST:PORT"``): hot keys are answered from
-  RAM, the shared tier fills and serves everything else.
-
-Both ride :class:`ServiceClient`, a stdlib ``http.client`` client that
+It rides :class:`ServiceClient`, a stdlib ``http.client`` client that
 keeps its HTTP/1.1 connections alive in a per-process pool, with a
 per-call timeout and bounded retry.  Two failure families retry, on
 different clocks, and nothing else does:
@@ -61,7 +55,6 @@ import urllib.parse
 from typing import Any, Callable, Hashable, Iterable, List, Optional, TypeVar
 
 from repro.core.backends import Backend
-from repro.core.cache import BasePlanStore, CacheStats
 from repro.core.pipeline import PlanRequest, PlanResult, plan_request
 from repro.core.vectorize import plan_work_item
 from repro.obs import TRACE_HEADER, SpanRecorder, TraceContext, start_trace
@@ -103,14 +96,11 @@ class PlanServiceUnavailable(PlanServiceError):
 def service_url(address: str) -> str:
     """Normalise an address/spec fragment into a base URL.
 
-    Accepts ``HOST:PORT``, ``http://HOST:PORT``, and the ``//HOST:PORT``
-    form a ``cache`` spec leaves after ``http:`` is split off.
+    Accepts ``HOST:PORT``, ``http://HOST:PORT`` and ``https://HOST:PORT``.
     """
     address = address.strip().rstrip("/")
     if not address:
         raise ValueError("empty plan-server address")
-    if address.startswith("//"):
-        address = address[2:]
     if not address.startswith(("http://", "https://")):
         address = f"http://{address}"
     return address
@@ -379,14 +369,6 @@ class ServiceClient:
     ) -> PlanResult | None:
         return self.post("/cache/get", key, trace=trace)
 
-    def cache_put(self, key: Hashable, result: PlanResult) -> None:
-        self._request(
-            "/cache/put", wire.pack_v2((key, result)), wire.CONTENT_TYPE
-        )
-
-    def cache_clear(self) -> None:
-        self._request("/cache/clear", b"", wire.CONTENT_TYPE)
-
     def cache_stats(self) -> dict:
         return self.get_json("/cache/stats")
 
@@ -487,92 +469,3 @@ class RemoteBackend(Backend):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RemoteBackend {self.client.base_url}>"
-
-
-@register(
-    "cache",
-    "http",
-    summary="Client for a plan server's shared store (http://HOST:PORT)",
-)
-class HTTPPlanCache(BasePlanStore):
-    """A :class:`~repro.core.cache.PlanStore` living on a plan server.
-
-    ``get`` / ``put`` / ``clear`` are one HTTP call each against the
-    server's store, so every client process pointing the same URL reads
-    and warms one cache.  ``stats`` is the *server's* view — counters
-    aggregate every client's traffic, which is the point of a shared
-    tier (per-sweep hit deltas in one client are approximate whenever
-    other clients are planning concurrently).
-
-    A lookup round-trip costs an HTTP exchange; for hot working sets
-    put a local LRU in front::
-
-        PlannerSession(cache="tiered:http://HOST:PORT")
-    """
-
-    def __init__(
-        self,
-        url: str,
-        *,
-        timeout: float = 30.0,
-        retries: int = 2,
-        retry_wait: float = 0.2,
-    ) -> None:
-        self.client = ServiceClient(
-            url, timeout=timeout, retries=retries, retry_wait=retry_wait
-        )
-
-    @property
-    def url(self) -> str:
-        return self.client.base_url
-
-    def get(self, key: Hashable) -> PlanResult | None:
-        return self.client.cache_get(key)
-
-    def put(self, key: Hashable, result: PlanResult) -> None:
-        self.client.cache_put(key, result)
-
-    def clear(self) -> None:
-        self.client.cache_clear()
-
-    def close(self) -> None:
-        self.client.close()
-
-    def __len__(self) -> int:
-        from repro.service.server import stats_from_payload
-
-        stats = stats_from_payload(self.client.cache_stats())
-        # a cacheless server has no entries to count; stats itself
-        # raises instead, because reading counters there is a misuse
-        return stats.entries if stats is not None else 0
-
-    @property
-    def stats(self) -> CacheStats:
-        from repro.service.server import stats_from_payload
-
-        stats = stats_from_payload(self.client.cache_stats())
-        if stats is None:
-            raise PlanServiceError(
-                f"plan server at {self.url} runs without a cache"
-            )
-        return stats
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<HTTPPlanCache {self.url}>"
-
-
-@register(
-    "cache",
-    "https",
-    summary="TLS variant of the http plan-store client (https://HOST:PORT)",
-)
-def https_plan_cache(url: str, **kwargs: Any) -> HTTPPlanCache:
-    """Rebuild the scheme a ``https://...`` cache spec split off.
-
-    ``cache_from_spec`` partitions a spec at its first colon, so the
-    factory receives ``//HOST:PORT`` and must restore the right scheme
-    itself (:class:`HTTPPlanCache` would default to plain http).
-    """
-    if url.startswith("//"):
-        url = f"https:{url}"
-    return HTTPPlanCache(url, **kwargs)

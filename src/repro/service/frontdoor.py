@@ -13,8 +13,9 @@ server supplies three things:
   ``/metrics`` reports; any other path counts as ``other``, so probing
   clients cannot grow the metric cardinality;
 * the operations those routes call: ``plan``, ``plan_items``,
-  ``cache_get`` / ``cache_put`` / ``cache_clear`` / ``cache_stats``,
-  ``health_payload`` and :meth:`FrontDoor.metrics_payload`;
+  ``cache_get``, ``cache_stats``, ``health_payload`` and
+  :meth:`FrontDoor.metrics_payload`.  No route writes a store: a
+  server's store holds only what its own planning put there;
 * optionally, extra error mappings (:meth:`FrontDoor.error_reply`).
 
 What the handler guarantees for every route:
@@ -52,7 +53,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 from repro import obs
-from repro.core.pipeline import PlanRequest, PlanResult
+from repro.core.pipeline import PlanRequest
 from repro.core.vectorize import VectorGroup
 from repro.registry import RegistryError
 from repro.service import wire
@@ -364,6 +365,8 @@ class FrontDoor:
         self._http.door = self
         self.host, self.port = self._http.server_address[:2]
         self._thread: threading.Thread | None = None
+        #: whether start() / serve_forever() began the loop close() stops
+        self._serving = False
         self._closed = False
 
     # -- what a server supplies -------------------------------------------
@@ -384,8 +387,6 @@ class FrontDoor:
             "/cache/get": Route(
                 "POST", self.cache_get, "envelope", "envelope"
             ),
-            "/cache/put": Route("POST", self._cache_put_route, "envelope"),
-            "/cache/clear": Route("POST", self.cache_clear),
         }
 
     def metrics_payload(self) -> dict:
@@ -421,22 +422,6 @@ class FrontDoor:
                     f"got {type(item).__name__}"
                 )
         return self.plan_items(items)
-
-    def _cache_put_route(self, entry: Any) -> dict:
-        # a store serves what it holds to every later /plan: anything
-        # but a PlanResult would break those requests for every client
-        if not (
-            isinstance(entry, (list, tuple))
-            and len(entry) == 2
-            and isinstance(entry[1], PlanResult)
-        ):
-            raise wire.WireError(
-                "/cache/put expects a (key, PlanResult) pair, got "
-                f"{type(entry).__name__}"
-            )
-        key, result = entry
-        self.cache_put(key, result)
-        return {"stored": True}
 
     def _health(self, **fields: Any) -> dict:
         """The ``/healthz`` fields every server reports, plus ``fields``."""
@@ -522,23 +507,28 @@ class FrontDoor:
                 daemon=True,
             )
             self._thread.start()
+            self._serving = True
         return self
 
     def serve_forever(self) -> None:
         """Serve in the calling thread until :meth:`close` / interrupt."""
         self._on_start()
+        self._serving = True
         self._http.serve_forever()
 
     def close(self) -> None:
         """Stop serving and release the server (idempotent).
 
         Nothing is answered after close: a reply in progress finishes,
-        then every kept-alive connection is hung up.
+        then every kept-alive connection is hung up.  A server that was
+        never started just releases its socket: ``shutdown()`` would
+        wait forever for an accept loop that never ran.
         """
         if self._closed:
             return
         self._closed = True
-        self._http.shutdown()
+        if self._serving:
+            self._http.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -13,8 +13,6 @@ endpoint            verb  payload
 ``/plan_batch``     POST  envelope([PlanRequest | VectorGroup, ...]) →
                           envelope([PlanResult | [PlanResult, ...], ...])
 ``/cache/get``      POST  envelope(key) → envelope(PlanResult | None)
-``/cache/put``      POST  envelope((key, PlanResult)) → JSON ack
-``/cache/clear``    POST  (empty) → JSON ack
 ==================  ====  =================================================
 
 Binary payloads are the binary-v2 envelopes of
@@ -29,10 +27,10 @@ planning operations behind it.
 
 ``/plan`` and ``/plan_batch`` route through the server's session, so
 every result a client ever asked for lands in the server's plan store —
-that store is the *shared warm cache* many hosts converge on, whether
-they reach it implicitly (``backend="remote:HOST:PORT"`` ships whole
-planning items here) or explicitly (``cache="http://HOST:PORT"`` reads
-and writes it entry by entry via ``/cache/get`` / ``/cache/put``).
+that store is the *shared warm cache* many hosts converge on through
+``backend="remote:HOST:PORT"``.  Only that planning writes the store:
+planning is pure, so a store holding nothing but the server's own plans
+can answer any later request from it.  ``/cache/get`` reads it.
 
 Concurrency: the HTTP layer is thread-per-connection
 (:class:`http.server.ThreadingHTTPServer`) and the session's store is
@@ -77,23 +75,6 @@ def stats_payload(stats: CacheStats | None) -> dict:
         "evictions": stats.evictions,
         "tier_hits": {name: hits for name, hits in stats.tier_hits},
     }
-
-
-def stats_from_payload(payload: dict) -> CacheStats | None:
-    """Rebuild a :class:`CacheStats` from the ``/cache/stats`` JSON."""
-    if payload.get("cache") != "on":
-        return None
-    return CacheStats(
-        hits=int(payload.get("hits", 0)),
-        misses=int(payload.get("misses", 0)),
-        entries=int(payload.get("entries", 0)),
-        max_entries=int(payload.get("max_entries", 0)),
-        evictions=int(payload.get("evictions", 0)),
-        tier_hits=tuple(
-            (str(name), int(hits))
-            for name, hits in payload.get("tier_hits", {}).items()
-        ),
-    )
 
 
 class PlanServer(FrontDoor):
@@ -198,13 +179,6 @@ class PlanServer(FrontDoor):
     def cache_get(self, key: Any) -> PlanResult | None:
         with obs.span("cache_lookup", endpoint="/cache/get"):
             return self.store().get(key)
-
-    def cache_put(self, key: Any, result: PlanResult) -> None:
-        self.store().put(key, result)
-
-    def cache_clear(self) -> dict:
-        self.store().clear()
-        return {"cleared": True}
 
     def cache_stats(self) -> dict:
         return stats_payload(self.session.cache_stats())

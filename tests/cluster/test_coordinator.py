@@ -275,14 +275,6 @@ class TestReroute:
 
 
 class TestCacheRouting:
-    def test_cache_put_then_get_roundtrip(self, coordinator, platform):
-        client = ServiceClient(coordinator.url)
-        request = PlanRequest(platform=platform, N=55.0, strategy="het")
-        result = client.plan(request)
-        client.cache_put(("custom", "key"), result)
-        fetched = client.cache_get(("custom", "key"))
-        assert_same_results([fetched], [result])
-
     def test_get_finds_an_entry_on_a_busy_worker(
         self, coordinator, workers, platform
     ):
@@ -293,8 +285,7 @@ class TestCacheRouting:
             result = client.plan(
                 PlanRequest(platform=platform, N=77.0, strategy="het")
             )
-            with ServiceClient(holder.url) as direct:
-                direct.cache_put(("held", 1), result)
+            holder.store().put(("held", 1), result)
             coordinator.pool.acquire(holder.url, 1)
             try:
                 fetched = client.cache_get(("held", 1))
@@ -315,7 +306,7 @@ class TestCacheRouting:
             result = direct.plan(
                 PlanRequest(platform=platform, N=79.0, strategy="het")
             )
-            direct.cache_put(("held", 3), result)
+        ordered[-1].store().put(("held", 3), result)
         with ServiceClient(coordinator.url) as client:
             before = client.cache_stats()
             assert client.cache_get(("held", 3)) is not None
@@ -342,8 +333,7 @@ class TestCacheRouting:
             result = client.plan(
                 PlanRequest(platform=platform, N=78.0, strategy="het")
             )
-            with ServiceClient(holder.url) as direct:
-                direct.cache_put(("held", 2), result)
+            holder.store().put(("held", 2), result)
             first.close()
             fetched = client.cache_get(("held", 2))
         assert fetched is not None
@@ -354,16 +344,6 @@ class TestCacheRouting:
             if not w["alive"]
         ]
         assert dead == [first.url]
-
-    def test_cache_clear_broadcasts(self, coordinator, workers, platform):
-        client = ServiceClient(coordinator.url)
-        for n in (10.0, 20.0, 30.0):
-            client.plan(
-                PlanRequest(platform=platform, N=n, strategy="het")
-            )
-        assert sum(len(w.store()) for w in workers) == 3
-        client.cache_clear()
-        assert sum(len(w.store()) for w in workers) == 0
 
     def test_cache_stats_aggregates(self, coordinator, workers, platform):
         client = ServiceClient(coordinator.url)

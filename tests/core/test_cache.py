@@ -362,9 +362,17 @@ class TestSpecsAndKeys:
         assert len(encode_key(key_a)) == 64  # sha256 hex
 
     def test_registry_kind_lists_builtin_stores(self):
-        assert {"memory", "sqlite", "tiered", "http"} <= set(
-            registry.available("cache")
-        )
+        assert registry.available("cache") == ("memory", "sqlite", "tiered")
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:1", "https://h:443"])
+    def test_tiered_refuses_a_url(self, url, tmp_path, monkeypatch):
+        # a URL is not a sqlite path: before, it became a file named
+        # after it in the working directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="bad cache spec") as err:
+            cache_from_spec(f"tiered:{url}")
+        assert "--backend remote:HOST:PORT" in str(err.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCacheStatsRender:

@@ -7,14 +7,16 @@ workers, pins what a client sees whichever of the two answers it:
 * a pickle-v1 envelope on any envelope route is a 400 before anything
   is unpickled, and so is a request holding a relay node (only a
   coordinator's reply may);
-* ``/cache/put`` stores nothing but a ``(key, PlanResult)`` pair, so no
-  client can poison the plans every other client is served;
+* no route writes a store: ``/cache/put`` and ``/cache/clear`` are
+  404s, so no client can poison or drop the plans every other client
+  is served;
 * unknown GET and POST paths are 404s counted under ``other``;
 * ``/metrics`` speaks JSON and Prometheus and 400s any other format;
 * an admission limit of zero answers 429 with ``Retry-After``;
 * a request is visible in ``/metrics`` once its client holds the answer;
 * after ``close()`` nothing is answered, not even on a kept-alive
-  connection a client already holds;
+  connection a client already holds, and ``close()`` returns on a
+  front door that was never started;
 * a request body the server cannot delimit ends the connection, so its
   bytes are never parsed as a next request.
 """
@@ -25,23 +27,21 @@ import json
 import pickle
 import re
 import socket
+import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro import registry
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.cache import plan_cache_key
-from repro.core.pipeline import PlanRequest, PlanResult
+from repro.core.pipeline import PlanRequest, PlanResult, plan_request
 from repro.loadtest.report import frontdoor_metrics
 from repro.platform.star import StarPlatform
 from repro.service import wire
-from repro.service.client import (
-    PlanServiceError,
-    PlanServiceUnavailable,
-    ServiceClient,
-)
+from repro.service.client import PlanServiceUnavailable, ServiceClient
 from repro.service.server import PlanServer
 
 KINDS = ("server", "coordinator")
@@ -106,10 +106,14 @@ def _plan_request():
     )
 
 
+def store_entries(front):
+    """How many plans the front door's store(s) hold, over /cache/stats."""
+    _, _, data = call(f"{front.url}/cache/stats")
+    return json.loads(data)["entries"]
+
+
 class TestSafeWire:
-    @pytest.mark.parametrize(
-        "route", ["/plan", "/plan_batch", "/cache/get", "/cache/put"]
-    )
+    @pytest.mark.parametrize("route", ["/plan", "/plan_batch", "/cache/get"])
     def test_pickle_envelope_is_400_and_never_unpickled(
         self, make_front, tmp_path, route
     ):
@@ -140,37 +144,63 @@ class TestSafeWire:
 
 
 class TestCachePut:
+    """A store holds only the plans its own server made: ``/cache/put``
+    is a 404 whatever it is sent, and the store is left as it was."""
+
     @pytest.mark.parametrize(
-        "entry, error",
+        "entry",
         [
-            ("poison", "(key, PlanResult)"),
-            (("k", "poison"), "(key, PlanResult)"),
-            (("k",), "(key, PlanResult)"),
-            (("k", "v", "w"), "(key, PlanResult)"),
-            (
-                ("k", PlanResult(request="x", plan="y", elapsed_s=0.0)),
-                "must hold a PlanRequest and a StrategyResult",
-            ),
+            "poison",
+            ("k", "poison"),
+            ("k",),
+            ("k", "v", "w"),
+            ("k", PlanResult(request="x", plan="y", elapsed_s=0.0)),
         ],
         ids=["bare", "non-result", "short", "long", "hollow-result"],
     )
-    def test_only_plan_results_are_stored(self, make_front, entry, error):
+    def test_only_plan_results_are_stored(self, make_front, entry):
         front = make_front()
+        body = wire.pack_v2(_plan_request())
+        assert call(f"{front.url}/plan", body)[0] == 200
         status, _, data = call(f"{front.url}/cache/put", wire.pack_v2(entry))
-        assert status == 400
-        assert error in json.loads(data)["error"]
+        assert status == 404
+        assert "no such endpoint" in json.loads(data)["error"]
+        assert store_entries(front) == 1
+        assert own_endpoints(front)["other"]["count"] == 1
 
     def test_poisoned_put_leaves_plan_working(self, make_front):
+        # a well-typed forgery: another request's plan under a's key
         front = make_front()
-        request = _plan_request()
-        key = plan_cache_key(request, registry.get("strategy", "hom"))
-        client = ServiceClient(front.url, retries=0)
-        with pytest.raises(PlanServiceError) as err:
-            client.cache_put(key, "poison")
-        assert err.value.code == 400
-        for _ in range(2):  # a miss that plans, then a hit
-            assert isinstance(client.plan(request), PlanResult)
-        client.close()
+        a = _plan_request()
+        b = PlanRequest(platform=a.platform, N=5.0, strategy="het")
+        honest, forged = plan_request(a), plan_request(b)
+        assert not np.isclose(honest.comm_volume, forged.comm_volume)
+        key = plan_cache_key(a, registry.get("strategy", a.strategy))
+        forgery = wire.pack_v2((key, forged))
+        assert call(f"{front.url}/cache/put", forgery)[0] == 404
+        with ServiceClient(front.url, retries=0) as client:
+            for _ in range(2):  # a miss that plans, then a hit
+                got = client.plan(a)
+                assert got.request == a
+                np.testing.assert_allclose(
+                    got.comm_volume, honest.comm_volume, rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    got.plan.finish_times, honest.plan.finish_times,
+                    rtol=1e-12,
+                )
+
+
+class TestCacheClear:
+    def test_clear_is_404_and_keeps_entries(self, make_front):
+        front = make_front()
+        body = wire.pack_v2(_plan_request())
+        assert call(f"{front.url}/plan", body)[0] == 200
+        status, _, data = call(f"{front.url}/cache/clear", b"")
+        assert status == 404
+        assert "no such endpoint" in json.loads(data)["error"]
+        assert store_entries(front) == 1
+        assert own_endpoints(front)["other"]["count"] == 1
 
 
 class TestUnknownPaths:
@@ -257,6 +287,21 @@ class TestClose:
             client.healthz()
         client.close()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_close_without_start_returns_and_frees_the_port(self, kind):
+        if kind == "server":
+            front = PlanServer(port=0, cache="memory")
+        else:
+            front = ClusterCoordinator(port=0)
+        # on a thread: a close() that waits for an accept loop that
+        # never ran would hang the test run, not just fail it
+        closer = threading.Thread(target=front.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "close() hung on an unstarted front"
+        with socket.socket() as sock:
+            sock.bind((front.host, front.port))
+
 
 #: a request hidden in a body; answering it would 404 naming its path
 SMUGGLED = b"GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n"
@@ -273,17 +318,17 @@ class TestNoDesync:
                 b"200",
             ),
             (
-                b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n"
+                b"POST /plan HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: -5\r\n\r\n",
                 b"400",
             ),
             (
-                b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n"
+                b"POST /plan HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: 12abc\r\n\r\n",
                 b"400",
             ),
             (
-                b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n"
+                b"POST /plan HTTP/1.1\r\nHost: x\r\n"
                 b"Transfer-Encoding: chunked\r\n\r\n",
                 b"400",
             ),

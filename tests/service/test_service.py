@@ -1,12 +1,13 @@
-"""End-to-end tests for the plan service: server, remote backend, HTTP store.
+"""End-to-end tests for the plan service: server and remote backend.
 
 The acceptance contract this file enforces:
 
 * a remote session (``backend="remote:HOST:PORT"``) reproduces local
   planning bit-identically (``rtol = 1e-12``), sweep by sweep and for a
   Figure-4 panel;
-* ``HTTPPlanCache`` makes the server's store a shared tier — hit/miss
-  accounting, tiered promotion, and cross-*process* sharing all work;
+* the server's store is a shared warm cache: a second client *process*
+  planning through the server is served from what the first one
+  planned, and no cache kind writes the store over the network;
 * failure semantics are clean: server down / hanging / flaky surfaces
   as :class:`PlanServiceError` after bounded retries, protocol errors
   (bad envelopes, unknown strategies) report the server's message and
@@ -26,19 +27,12 @@ import numpy as np
 import pytest
 
 from repro import registry
-from repro.core.cache import (
-    MemoryPlanCache,
-    TieredPlanCache,
-    cache_from_spec,
-    plan_cache_key,
-)
 from repro.core.pipeline import PlanRequest, PlanResult, plan_request
 from repro.core.session import PlannerSession
 from repro.core.vectorize import VectorGroup
 from repro.experiments.figure4 import run_figure4
 from repro.platform.star import StarPlatform
 from repro.service.client import (
-    HTTPPlanCache,
     PlanServiceError,
     RemoteBackend,
     ServiceClient,
@@ -64,8 +58,10 @@ class TestRegistration:
     def test_remote_backend_registered(self):
         assert "remote" in registry.available("backend")
 
-    def test_http_cache_registered(self):
-        assert "http" in registry.available("cache")
+    def test_no_network_cache_registered(self):
+        # a plan server's store is shared through remote:, never written
+        # over the network
+        assert registry.available("cache") == ("memory", "sqlite", "tiered")
 
 
 class TestHealthAndStats:
@@ -87,6 +83,15 @@ class TestHealthAndStats:
         client = ServiceClient(server.url)
         with pytest.raises(PlanServiceError, match="404"):
             client.get_json("/nope")
+
+    def test_cache_endpoints_refused_when_cache_off(self):
+        with PlanServer(port=0, cache=False) as uncached, ServiceClient(
+            uncached.url
+        ) as client:
+            with pytest.raises(PlanServiceError, match="without a cache") as e:
+                client.cache_get(("any", "key"))
+            assert e.value.code == 400
+            assert client.cache_stats() == {"cache": "off"}
 
 
 class TestRemoteBackend:
@@ -207,92 +212,29 @@ class TestRemoteBackend:
                 )
 
 
-class TestHTTPPlanCache:
-    def test_get_put_roundtrip_and_stats(self, server, platform):
-        store = HTTPPlanCache(server.url)
-        request = PlanRequest(platform=platform, N=123.0, strategy="het")
-        key = plan_cache_key(request, registry.get("strategy", "het"))
-        assert store.get(key) is None          # miss, counted server-side
-        result = plan_request(request)
-        store.put(key, result)
-        hit = store.get(key)
-        assert hit is not None
-        assert hit.comm_volume == result.comm_volume
-        stats = store.stats
-        assert stats.hits >= 1 and stats.misses >= 1
-        assert len(store) >= 1
-
-    def test_session_with_http_cache_shares_entries(self, server, platform):
-        spec = f"http://{server.host}:{server.port}"
-        with PlannerSession(cache=spec) as warm:
-            first = warm.sweep(platform, 777.0)
-        assert first.cache_misses == 3
-        # a *different* session (fresh process in real deployments)
-        # sees the first one's entries
-        with PlannerSession(cache=spec) as reader:
-            again = reader.sweep(platform, 777.0)
-        assert again.cache_hits == 3
-        assert all(res.cached for res in again.results.values())
-
-    def test_tiered_memory_front_promotes_over_http(self, server, platform):
-        disk = HTTPPlanCache(server.url)
-        store = TieredPlanCache(disk=disk, memory=MemoryPlanCache(64))
-        request = PlanRequest(platform=platform, N=55.0, strategy="het")
-        key = plan_cache_key(request, registry.get("strategy", "het"))
-        store.put(key, plan_request(request))      # write-through
-        assert store.memory.get(key) is not None   # front was filled
-        store.memory.clear()
-        assert store.get(key) is not None          # back tier answers...
-        assert store.memory.stats.entries == 1     # ...and promotes
-
-    def test_tiered_http_spec_string(self, server, platform):
-        with PlannerSession(
-            cache=f"tiered:http://{server.host}:{server.port}"
-        ) as session:
-            session.sweep(platform, 888.0)
-            session.sweep(platform, 888.0)
-            tiers = dict(session.cache_stats().tier_hits)
-        assert tiers["memory"] >= 3  # second sweep never left the process
-
-    def test_clear_clears_server_store(self, server, platform):
-        spec = f"http://{server.host}:{server.port}"
-        with PlannerSession(cache=spec) as session:
-            session.sweep(platform, 999.0)
-            assert len(session.cache) >= 3
-            session.clear_cache()
-            assert len(session.cache) == 0
-
-    def test_https_spec_preserves_scheme(self):
-        store = cache_from_spec("https://planner.internal:443")
-        assert isinstance(store, HTTPPlanCache)
-        assert store.url == "https://planner.internal:443"
-        tiered = TieredPlanCache("https://planner.internal:443")
-        assert tiered.disk.url == "https://planner.internal:443"
-
-    def test_cache_endpoints_refused_when_cache_off(self, platform):
-        with PlanServer(port=0, cache=False) as uncached:
-            store = HTTPPlanCache(uncached.url)
-            with pytest.raises(PlanServiceError, match="without a cache"):
-                store.get(("any", "key"))
-            with pytest.raises(PlanServiceError, match="without a cache"):
-                store.stats
-            # len() is an honest zero, not an error — reprs use it
-            assert len(store) == 0
-
-
 class TestSharedCacheAcrossProcesses:
     def test_two_client_processes_share_the_store(self, server):
-        """The acceptance scenario: sequential client *processes*, one
-        warm server store, the second run all hits in /cache/stats."""
+        """The acceptance scenario: sequential client *processes*
+        planning through one server, the second served entirely from
+        the store the first one warmed."""
         snippet = (
             "from repro.core.session import PlannerSession\n"
             "from repro.platform.star import StarPlatform\n"
             "p = StarPlatform.from_speeds([1, 2, 4, 8])\n"
-            f"s = PlannerSession(cache='http://{server.host}:{server.port}')\n"
+            "s = PlannerSession(\n"
+            f"    backend='remote:{server.host}:{server.port}', cache=False\n"
+            ")\n"
             "sweep = s.sweep(p, 31337.0)\n"
-            "print(sweep.cache_hits, sweep.cache_misses)\n"
+            "cached = sum(r.cached for r in sweep.results.values())\n"
+            "print(cached, len(sweep.results))\n"
             "s.close()\n"
         )
+
+        def server_counts():
+            stats = json.loads(
+                urllib.request.urlopen(f"{server.url}/cache/stats").read()
+            )
+            return stats["hits"], stats["misses"]
 
         def run_client():
             return subprocess.run(
@@ -308,14 +250,14 @@ class TestSharedCacheAcrossProcesses:
                 check=True,
             ).stdout.split()
 
-        hits1, misses1 = map(int, run_client())
-        hits2, misses2 = map(int, run_client())
-        assert misses1 == 3 and hits1 == 0
-        assert hits2 == 3 and misses2 == 0
-        stats = json.loads(
-            urllib.request.urlopen(f"{server.url}/cache/stats").read()
-        )
-        assert stats["hits"] >= 3 and stats["entries"] >= 3
+        assert server_counts() == (0, 0)
+        cached1, total1 = map(int, run_client())
+        assert (cached1, total1) == (0, 3)
+        assert server_counts() == (0, 3)
+        cached2, total2 = map(int, run_client())
+        assert (cached2, total2) == (3, 3)
+        assert server_counts() == (3, 3)
+        assert len(server.store()) == 3
 
 
 class TestFailureSemantics:

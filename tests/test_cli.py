@@ -243,3 +243,28 @@ class TestBackendSpecs:
         assert rc == 2
         assert "bad backend spec 'serial:foo'" in err
         assert "SerialBackend() takes no arguments" in err
+
+
+class TestCacheSpecs:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("http://127.0.0.1:1", "unknown cache 'http'"),
+            ("https://127.0.0.1:1", "unknown cache 'https'"),
+            ("tiered:http://127.0.0.1:1", "--backend remote:HOST:PORT"),
+        ],
+        ids=["http", "https", "tiered-http"],
+    )
+    def test_network_store_spec_is_clean_error(
+        self, spec, message, tmp_path, monkeypatch, capsys
+    ):
+        # a plan server's store is shared through --backend remote:, and
+        # a URL never becomes a sqlite file in the working directory
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["compare", "--speeds", "1", "2", "--N", "100", "--cache", spec]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
