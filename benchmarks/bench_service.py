@@ -128,25 +128,22 @@ def test_wire_profile_throughput():
     partition kernels, and lazy partitions, so a same-run A/B alone
     cannot reproduce the old code's cost).
     """
-    from repro.core.pipeline import plan_request
-    from repro.core.vectorize import VectorGroup, plan_work_item
-    from repro.service.client import RemoteBackend
+    from repro.core.vectorize import VectorGroup
+    from repro.service.client import ServiceClient
 
     requests = _requests()
     group = VectorGroup(strategy="het", requests=tuple(requests))
-    with PlanServer(port=0, cache=False) as server:
-        binary = RemoteBackend(server.url)
-        scalar_results = binary.map(plan_request, requests)
+    with PlanServer(port=0, cache=False) as server, ServiceClient(
+        server.url, timeout=60.0
+    ) as binary:
+        scalar_results = binary.plan_items(requests)
         scalar_s = min(
-            _timed(lambda: binary.map(plan_request, requests))
-            for _ in range(3)
+            _timed(lambda: binary.plan_items(requests)) for _ in range(3)
         )
-        (v2_results,) = binary.map(plan_work_item, [group])
+        (v2_results,) = binary.plan_items([group])
         v2_s = min(
-            _timed(lambda: binary.map(plan_work_item, [group]))
-            for _ in range(3)
+            _timed(lambda: binary.plan_items([group])) for _ in range(3)
         )
-        binary.shutdown()
 
     for a, b in zip(scalar_results, v2_results):
         assert a.request == b.request

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.core.cache import PlanCache
+from repro.core.cache import MemoryPlanCache
 from repro.core.pipeline import PlanRequest
 from repro.core.session import PlannerSession
 from repro.core.vectorize import batch_capable, group_key, plan_batch_requests
@@ -99,7 +99,7 @@ def main() -> None:
     print(f"plan_batch_requests -> {[r.strategy for r in trio]}\n")
 
     # --- 4. the cache is path-agnostic -------------------------------
-    shared = PlanCache()
+    shared = MemoryPlanCache()
     with PlannerSession(cache=shared, vectorize=True) as warm:
         warm.plan_batch(requests)
     with PlannerSession(cache=shared, vectorize=False) as reader:

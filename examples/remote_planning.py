@@ -32,7 +32,7 @@ def main() -> None:
         print()
         spec = f"remote:{server.host}:{server.port}"
 
-        # --- 1. remote backend: offload the whole sweep ---------------
+        # --- 1. remote: offload the whole sweep -----------------------
         with PlannerSession() as local, PlannerSession(
             backend=spec, cache=False
         ) as remote:

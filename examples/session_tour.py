@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Session tour: backend-routed, cached, batched planning.
+"""Session tour: cached, batched planning.
 
 Walks the `PlannerSession` API end to end in a few seconds:
 
@@ -29,7 +29,7 @@ def main() -> None:
     print()
 
     # --- 1. one session, one request ----------------------------------
-    session = PlannerSession()  # backend="serial", caching on
+    session = PlannerSession()  # serial, caching on
     result = session.plan(
         PlanRequest(platform=platform, N=10_000.0, strategy="het")
     )

@@ -46,7 +46,6 @@ from repro.core import (
     PlanResult,
     PlanSweep,
     PlannerSession,
-    PlanCache,
     PlanStore,
     MemoryPlanCache,
     SQLitePlanCache,
@@ -82,7 +81,6 @@ __all__ = [
     "PlanResult",
     "PlanSweep",
     "PlannerSession",
-    "PlanCache",
     "PlanStore",
     "MemoryPlanCache",
     "SQLitePlanCache",

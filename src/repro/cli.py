@@ -135,10 +135,11 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
         "--backend",
         type=str,
         default="serial",
+        metavar="SPEC",
         help=(
-            "execution backend spec routing the planning work: a "
-            "registered name (`repro list backend`) or remote:HOST:PORT "
-            "to offload to a `repro serve` instance (default: serial)"
+            "where cache misses are planned: serial (in this process, "
+            "the default) or remote:HOST:PORT (on a `repro serve` "
+            "instance or a `repro cluster` coordinator)"
         ),
     )
     _add_planning_options(parser)
@@ -157,11 +158,11 @@ def _add_planning_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help=(
-            "plan store spec: memory[:SIZE], sqlite:PATH or tiered:PATH "
-            "(memory front over sqlite); default: memory. A sqlite/tiered "
-            "path persists plans, so an interrupted sweep rerun against "
-            "the same path resumes from disk hits; inspect it with "
-            "`repro cache stats PATH`. To share a `repro serve` "
+            "plan store: memory[:SIZE] (in-process LRU, the default), "
+            "sqlite:PATH or tiered:PATH (memory front over sqlite). A "
+            "sqlite/tiered path persists plans, so an interrupted sweep "
+            "rerun against the same path resumes from disk hits; inspect "
+            "it with `repro cache stats PATH`. To share a `repro serve` "
             "instance's store, plan through it with --backend "
             "remote:HOST:PORT"
         ),
@@ -249,14 +250,19 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro import registry
     from repro.core.pipeline import PlanRequest
     from repro.core.strategies import compare_strategies
     from repro.platform.star import StarPlatform
 
     platform = StarPlatform.from_speeds(args.speeds)
-    print(platform.describe())
-    print()
+    if args.strategy is not None:
+        # an unknown name fails before any output, as a bad --backend
+        # or --cache spec does when the session is built
+        registry.get("strategy", args.strategy)
     with _session_from_args(args) as session:
+        print(platform.describe())
+        print()
         if args.strategy is not None:
             result = session.plan(
                 PlanRequest(
@@ -286,14 +292,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     model = None
     if args.cost_model:
         # resolve up front: a typo'd model name must fail before the
-        # sweep is planned (and before any table output), like unknown
-        # strategies and backends do
+        # sweep is planned (and before any table output), like a bad
+        # --backend or --cache spec does when the session is built
         from repro import registry
 
         model = registry.create("cost_model", args.cost_model)
-    print(platform.describe())
-    print()
     with _session_from_args(args) as session:
+        print(platform.describe())
+        print()
         sweep = session.sweep(
             platform, args.N, imbalance_target=args.imbalance_target
         )

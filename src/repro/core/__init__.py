@@ -13,9 +13,9 @@
 * :mod:`repro.core.pipeline` — the uniform ``PlanRequest → PlanResult``
   pipeline every registered strategy is invoked, timed and compared
   through.
-* :mod:`repro.core.session` — :class:`PlannerSession`, the
-  backend-routed, cached, batched planning API (with
-  :mod:`repro.core.backends` and :mod:`repro.core.cache` under it).
+* :mod:`repro.core.session` — :class:`PlannerSession`, the cached,
+  batched planning API that plans in process or on a plan server
+  (with :mod:`repro.core.cache` under it).
 * :mod:`repro.core.vectorize` — the miss → group → kernel routing that
   lets sessions plan whole batches through the strategies' vectorised
   ``plan_batch`` kernels.
@@ -65,11 +65,9 @@ from repro.core.pipeline import (
     PlanSweep,
     plan_request,
 )
-from repro.core.backends import backend_from_spec
 from repro.core.cache import (
     CacheStats,
     MemoryPlanCache,
-    PlanCache,
     PlanStore,
     SQLitePlanCache,
     ThreadSafePlanStore,
@@ -121,9 +119,7 @@ __all__ = [
     "PlanResult",
     "PlanSweep",
     "plan_request",
-    "backend_from_spec",
     "CacheStats",
-    "PlanCache",
     "PlanStore",
     "MemoryPlanCache",
     "SQLitePlanCache",

@@ -14,8 +14,10 @@ that differ only in a parameter the strategy ignores therefore share
 one entry — e.g. ``imbalance_target`` never fragments the ``het``
 cache.
 
-Storage is pluggable behind the :class:`PlanStore` protocol (registry
-kind ``"cache"``):
+Storage is pluggable behind the :class:`PlanStore` protocol; a
+``--cache`` spec names one of three built-in stores
+(:func:`cache_from_spec`), and a session accepts any other
+:class:`PlanStore` instance:
 
 * :class:`MemoryPlanCache` (``memory``) — the in-process LRU; entries
   beyond ``max_entries`` are evicted oldest-first and counted.
@@ -32,7 +34,7 @@ kind ``"cache"``):
   writes go through to both tiers, and :attr:`CacheStats.tier_hits`
   breaks hits down per tier.
 
-A plan server's store is not a cache kind: many client processes share
+A plan server's store is not a cache spec: many client processes share
 it through ``backend="remote:HOST:PORT"``, and only the server's own
 planning writes it.
 
@@ -70,7 +72,7 @@ from typing import (
 import numpy as np
 
 from repro.core.pipeline import PlanRequest, PlanResult, supported_kwargs
-from repro.registry import register
+from repro.registry import RegistryError
 from repro.util.tables import format_table
 
 
@@ -163,7 +165,7 @@ class CacheStats:
     """Cumulative hit/miss counters plus current occupancy.
 
     ``max_entries == 0`` means the store is unbounded (durable
-    backends never evict).  ``tier_hits`` is populated by tiered
+    stores never evict).  ``tier_hits`` is populated by tiered
     stores: a ``(tier name, hits)`` breakdown of where the hits landed
     — e.g. a resumed sweep shows its replayed points as ``disk`` hits.
     """
@@ -233,20 +235,14 @@ class PlanStore(Protocol):
     def stats(self) -> CacheStats: ...
 
 
-@register(
-    "cache",
-    "memory",
-    summary="In-process LRU plan cache (per-session, non-persistent)",
-)
 class MemoryPlanCache:
     """An LRU map from plan content keys to :class:`PlanResult`.
 
     Not thread-safe by itself; sessions perform all cache traffic on
-    the calling thread (backends only plan misses), so no lock is
-    needed there.  Entries are path-agnostic: scalar and vectorised
-    planning produce interchangeable results (the vectorisation
-    equivalence contract), so a cache may be warmed by either and
-    shared between sessions::
+    the calling thread, so no lock is needed there.  Entries are
+    path-agnostic: scalar and vectorised planning produce
+    interchangeable results (the vectorisation equivalence contract),
+    so a cache may be warmed by either and shared between sessions::
 
         shared = MemoryPlanCache(max_entries=10_000)
         a = PlannerSession(cache=shared)
@@ -309,10 +305,6 @@ class MemoryPlanCache:
         """Nothing to release; present so every store closes alike."""
 
 
-#: the historical name; PR-2 code constructed ``PlanCache()`` directly
-PlanCache = MemoryPlanCache
-
-
 #: the payload an export's binary-v2 envelope carries is marked with
 #: this format name and version
 _EXPORT_FORMAT = "repro-plan-cache"
@@ -330,11 +322,6 @@ def _is_export_row(row: Any) -> bool:
     )
 
 
-@register(
-    "cache",
-    "sqlite",
-    summary="Durable sqlite-backed plan cache, shareable across processes",
-)
 class SQLitePlanCache:
     """A durable plan store: one sqlite file, shareable and resumable.
 
@@ -550,11 +537,6 @@ class SQLitePlanCache:
         return len(rows)
 
 
-@register(
-    "cache",
-    "tiered",
-    summary="Memory front + sqlite store behind (write-through)",
-)
 class TieredPlanCache:
     """Two-level store: a fast memory front over a durable back tier.
 
@@ -682,10 +664,18 @@ class ThreadSafePlanStore:
                 closer()
 
 
-def cache_from_spec(spec: "str | PlanStore") -> PlanStore:
-    """Resolve a ``--cache`` spec to a store through the registry.
+#: the store each ``--cache`` spec name builds
+_STORES: dict[str, Callable[..., PlanStore]] = {
+    "memory": MemoryPlanCache,
+    "sqlite": SQLitePlanCache,
+    "tiered": TieredPlanCache,
+}
 
-    Accepted forms (``repro list cache`` names the kinds):
+
+def cache_from_spec(spec: "str | PlanStore") -> PlanStore:
+    """Resolve a ``--cache`` spec to one of the built-in stores.
+
+    Accepted forms:
 
     * ``memory`` or ``memory:SIZE`` — in-process LRU (SIZE entries);
     * ``sqlite:PATH`` — durable store at PATH;
@@ -699,17 +689,17 @@ def cache_from_spec(spec: "str | PlanStore") -> PlanStore:
     """
     if not isinstance(spec, str):
         return spec
-    from repro import registry
-    from repro.registry import RegistryError
-
     name, _, arg = spec.partition(":")
     name = name or "memory"
-    factory = registry.get("cache", name)  # unknown names fail clean here
+    factory = _STORES.get(name)
+    if factory is None:
+        raise RegistryError(
+            f"unknown cache {name!r}; expected one of {tuple(_STORES)}"
+        )
     try:
         # a store whose constructor rejects the spec argument is a
         # user error, not a traceback: memory takes an integer size,
-        # sqlite/tiered need a path, plugin stores declare their own
-        # shape
+        # sqlite/tiered need a path
         if name == "memory" and arg:
             try:
                 max_entries = int(arg)

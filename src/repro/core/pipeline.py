@@ -8,11 +8,10 @@ what the strategy's constructor accepts, times the planning call and
 wraps the outcome — together with its communication lower bound — in a
 :class:`PlanResult`.
 
-:func:`plan_request` is the *raw* planner: no cache, no backend
-routing.  Almost all
-callers want :class:`repro.core.session.PlannerSession` instead, which
-routes batches of requests through an execution backend and a
-content-keyed plan cache.  (The historical free functions ``execute``
+:func:`plan_request` is the *raw* planner: no cache, no plan server.
+Almost all callers want :class:`repro.core.session.PlannerSession`
+instead, which plans batches of requests in process or on a plan
+server, behind a content-keyed plan cache.  (The historical free functions ``execute``
 / ``execute_all`` were deprecated shims over the default session; they
 were removed in repro 2.0 as scheduled — see the README's migration
 notes for the one-line replacements.)
@@ -62,7 +61,7 @@ class PlanRequest:
     """One normalized planning job: which strategy on which instance.
 
     The unit of work everything downstream speaks — sessions cache it
-    (under its content key), the ``remote`` backend ships it to a plan
+    (under its content key), a ``remote:`` session sends it to a plan
     server, and the
     vectorised path groups it with other requests sharing a strategy.
     Immutable and hashable-by-content, so a request can safely appear
@@ -150,7 +149,7 @@ class PlanResult:
 def plan_request(request: PlanRequest) -> PlanResult:
     """Resolve, invoke and time one strategy through the registry.
 
-    The raw planner: no caching, no backend routing.  Sessions wrap
+    The raw planner: no caching, no plan server.  Sessions wrap
     this; call it directly only when you explicitly want to bypass
     them.
     """
@@ -167,7 +166,7 @@ class PlanSweep:
     """Every requested strategy on one instance, uniformly accounted.
 
     ``results`` iterates in sorted strategy-name order regardless of
-    which backend planned it, so local and remote sweeps render
+    where it was planned, so local and remote sweeps render
     identical tables.  ``cache_hits``/``cache_misses`` count how this
     sweep's requests fared against the session's plan cache (``None``
     when the sweep ran without one).

@@ -1,11 +1,12 @@
-"""PlannerSession: the backend-routed, cached, batched planning API.
+"""PlannerSession: the cached, batched planning API.
 
-A session owns the three concerns the free-function pipeline lacked:
+A session owns the concerns the free-function pipeline lacked:
 
-* **backend routing** — every request batch's cache misses are
-  dispatched through a registered execution backend: ``serial`` plans
-  them in the calling thread, ``remote:HOST:PORT`` ships them to a
-  plan server, and plugins may register more;
+* **where misses are planned** — the ``backend`` spec names one of two
+  places: ``serial`` plans a batch's cache misses in the calling
+  thread, ``remote:HOST:PORT`` sends them to a plan server (a
+  ``repro serve`` instance or a cluster coordinator) in one
+  ``/plan_batch`` call;
 * **plan caching** — results are memoised under a content key
   (platform fingerprint × N × strategy × effective params), so the
   Figure-4 protocol's repeated queries and service-style workloads
@@ -29,9 +30,9 @@ Usage::
     sweep = session.sweep(platform, N=10_000)        # same → all hits
     print(sweep.render(), session.cache_stats().render(), sep="\\n")
 
-Results are bit-identical across backends: a backend only changes
-*where* :func:`repro.core.pipeline.plan_request` runs, never what it
-computes, and sweeps iterate in sorted strategy order.
+Results are bit-identical either way: the spec only changes *where*
+:func:`repro.core.pipeline.plan_request` runs, never what it computes,
+and sweeps iterate in sorted strategy order.
 
 The module-level :func:`default_session` (serial, caching) backs the
 façade in :mod:`repro.core.strategies`.
@@ -43,7 +44,6 @@ from dataclasses import replace
 from typing import Any, List, Mapping, Sequence
 
 from repro import obs, registry
-from repro.core.backends import Backend, backend_from_spec
 from repro.core.cache import (
     CacheStats,
     MemoryPlanCache,
@@ -59,22 +59,51 @@ from repro.core.pipeline import (
 )
 from repro.core.vectorize import plan_batch_requests
 from repro.platform.star import StarPlatform
+from repro.registry import RegistryError
+
+#: the two ``backend`` specs, for error messages
+_BACKEND_FORMS = "expected 'serial' or 'remote:HOST:PORT'"
+
+
+def _plan_server_client(backend: str) -> Any:
+    """The plan-server client a ``backend`` spec names (``None``: serial).
+
+    ``remote:ADDRESS`` yields a session-owned
+    :class:`~repro.service.client.ServiceClient` (60 s per attempt, the
+    client's default retries); any spec but the two forms raises
+    :class:`~repro.registry.RegistryError`, a user error the CLI
+    reports without a traceback.
+    """
+    if backend == "serial":
+        return None
+    name, colon, address = str(backend).partition(":")
+    if name == "remote" and colon:
+        # imported here: repro.service imports repro.core
+        from repro.service.client import ServiceClient
+
+        try:
+            return ServiceClient(address, timeout=60.0)
+        except ValueError as exc:
+            raise RegistryError(
+                f"bad backend spec {backend!r}: {exc}; {_BACKEND_FORMS}"
+            ) from None
+    raise RegistryError(f"unknown backend {backend!r}; {_BACKEND_FORMS}")
 
 
 class PlannerSession:
-    """Backend-routed, cached, batched planning over the registry.
+    """Cached, batched planning over the registry.
 
     Parameters
     ----------
     backend:
-        Name of a registered execution backend (``repro list backend``),
-        or an already-constructed :class:`~repro.core.backends.Backend`.
+        Where cache misses are planned: ``"serial"`` (the default) in
+        the calling thread, ``"remote:HOST:PORT"`` on a plan server,
+        in one ``/plan_batch`` call per batch.
     cache:
         ``True`` (default) for a fresh in-process
         :class:`~repro.core.cache.MemoryPlanCache`, ``False`` to plan
-        every request anew, a spec string resolved through the
-        ``cache`` registry kind (``"memory"`` / ``"sqlite:PATH"`` /
-        ``"tiered:PATH"``, see
+        every request anew, a spec string (``"memory"`` /
+        ``"sqlite:PATH"`` / ``"tiered:PATH"``, see
         :func:`~repro.core.cache.cache_from_spec`), or any
         :class:`~repro.core.cache.PlanStore` instance — share one
         store between sessions, or hand over a durable
@@ -97,20 +126,16 @@ class PlannerSession:
 
     def __init__(
         self,
-        backend: str | Backend = "serial",
+        backend: str = "serial",
         *,
         cache: bool | str | PlanStore = True,
         vectorize: bool = True,
         **default_params: Any,
     ) -> None:
-        if isinstance(backend, str):
-            # spec form: a bare registered name, or "name:ARG" — e.g.
-            # "remote:HOST:PORT" plans through a repro plan server
-            self.backend: Backend = backend_from_spec(backend)
-            self.backend_name = backend
-        else:
-            self.backend = backend
-            self.backend_name = getattr(backend, "name", type(backend).__name__)
+        # parsed before the cache spec: a bad backend spec then fails
+        # before a sqlite store opens a connection
+        self._client = _plan_server_client(backend)
+        self.backend = backend
         # a store built here from a spec string is session-owned and
         # closed with the session; an instance passed in may be shared
         # between sessions, so its lifecycle stays with the caller
@@ -129,13 +154,14 @@ class PlannerSession:
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Release the backend's connections (idempotent).
+        """Release the plan-server connections (idempotent).
 
         A shared cache instance survives — only a store this session
         built itself from a spec string (``cache="sqlite:..."``) has
         its connections released here; its file of course persists.
         """
-        self.backend.shutdown()
+        if self._client is not None:
+            self._client.close()
         if self._owns_cache and self._cache is not None:
             closer = getattr(self._cache, "close", None)
             if closer is not None:
@@ -150,13 +176,13 @@ class PlannerSession:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = "off" if self._cache is None else f"{len(self._cache)} entries"
         return (
-            f"PlannerSession(backend={self.backend_name!r}, cache={cache})"
+            f"PlannerSession(backend={self.backend!r}, cache={cache})"
         )
 
     # -- planning --------------------------------------------------------
 
     def plan(self, request: PlanRequest) -> PlanResult:
-        """Plan one request (cache first, then the backend).
+        """Plan one request (cache first, then the planner).
 
         A single request never enters a vector group, so ``plan`` stays
         on the exact scalar codepath whatever the session's
@@ -173,14 +199,13 @@ class PlannerSession:
         """Plan many requests; results align with ``requests`` by index.
 
         Cache lookups happen up front on the calling thread; only the
-        misses travel through the backend, and their results are
-        cached on the way back.  With
-        vectorisation on (the session default unless ``vectorize``
-        overrides it), misses sharing a strategy are fused into one
-        batched kernel call per group — each group is a single backend
-        item — and strategies without a kernel fall back to scalar
-        planning.  Cache traffic (lookups, misses, stored entries) is
-        identical on both paths.
+        misses are planned (here, or on the plan server in one
+        ``/plan_batch`` call), and their results are cached on the way
+        back.  With vectorisation on (the session default unless
+        ``vectorize`` overrides it), misses sharing a strategy are
+        fused into one batched kernel call per group, and strategies
+        without a kernel fall back to scalar planning.  Cache traffic
+        (lookups, misses, stored entries) is identical on both paths.
         """
         use_vectorize = self.vectorize if vectorize is None else bool(vectorize)
         requests = [self._with_defaults(req) for req in requests]
@@ -222,9 +247,11 @@ class PlannerSession:
                 vectorize=use_vectorize,
             ):
                 if use_vectorize:
-                    planned = plan_batch_requests(miss_requests, self.backend)
+                    planned = plan_batch_requests(miss_requests, self._client)
+                elif self._client is not None:
+                    planned = self._client.plan_items(miss_requests)
                 else:
-                    planned = self.backend.map(plan_request, miss_requests)
+                    planned = [plan_request(req) for req in miss_requests]
             for (i, key, _), result in zip(misses, planned):
                 if self._cache is not None:
                     self._cache.put(key, result)
@@ -242,7 +269,7 @@ class PlannerSession:
         """Every registered (or the named) strategies on one instance.
 
         Deterministic by construction: strategy order is sorted by name
-        whatever the backend, each strategy's plan is independent of the
+        wherever misses are planned, each strategy's plan is independent of the
         others, and planning itself is pure — so serial, remote and
         vectorised sweeps all render identical tables.  The sweep
         records how its requests fared against the plan cache.
@@ -311,7 +338,7 @@ _default_session: PlannerSession | None = None
 
 
 def default_session() -> PlannerSession:
-    """The process-wide session (serial backend, caching on).
+    """The process-wide session (serial, caching on).
 
     Backs the :mod:`repro.core.strategies` façade when no explicit
     session is passed.

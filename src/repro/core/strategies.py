@@ -165,8 +165,8 @@ def compare_strategies(
     """Run all registered strategies on the same instance (one Figure-4 cell).
 
     ``strategies`` restricts the sweep; by default every strategy in the
-    registry participates.  ``session`` selects the execution backend
-    and plan cache (default: the process-wide cached serial session).
+    registry participates.  ``session`` selects where misses are
+    planned and the plan cache (default: the process-wide cached serial session).
     """
     sweep = (session or default_session()).sweep(
         platform,

@@ -22,8 +22,8 @@ strategies' optional batched kernels:
 
        def plan_batch(self, platforms, Ns) -> list[StrategyResult]
 
-   travel through one :func:`plan_request_group` call (one backend
-   item, one strategy instance, one vectorised pass);
+   travel through one :func:`plan_request_group` call (one strategy
+   instance, one vectorised pass);
 3. **fallback** — singleton groups and strategies without a batched
    kernel fall back to the scalar :func:`~repro.core.pipeline.plan_request`,
    so plugins never have to implement ``plan_batch`` to participate in
@@ -37,7 +37,7 @@ demand-driven schedule, whose task *counts* are scale-invariant but
 recomputed float sums may differ in the last ulp).  Cached entries
 produced by either path are therefore interchangeable; the tier-1
 equivalence suite (``tests/core/test_vectorize.py``) enforces this for
-every built-in strategy and backend.
+every built-in strategy, planned locally and on a plan server.
 
 The contract extends to *plan storage*: the session writes every
 batch-planned result through its :class:`~repro.core.cache.PlanStore`
@@ -48,9 +48,9 @@ identically into a scalar one and vice versa — batched fills
 write through every tier exactly like scalar fills do.
 
 A :class:`VectorGroup` carries only
-:class:`~repro.core.pipeline.PlanRequest` objects, so the ``remote``
-backend ships whole groups to a plan server exactly like it ships
-scalar requests.
+:class:`~repro.core.pipeline.PlanRequest` objects, so a session on a
+plan server (``backend="remote:HOST:PORT"``) sends whole groups in its
+``/plan_batch`` call exactly like scalar requests.
 """
 
 from __future__ import annotations
@@ -130,9 +130,8 @@ class VectorGroup:
 
     Every request shares ``strategy`` and the same effective params, so
     a single ``factory(**kwargs)`` instance serves the whole group.
-    A group is one backend item, and crosses the wire whole to a
-    ``remote`` backend's plan server (the ``vg`` node of
-    :mod:`repro.service.wire`).
+    A group crosses the wire whole to a plan server (the ``vg`` node
+    of :mod:`repro.service.wire`).
     """
 
     strategy: str
@@ -171,36 +170,23 @@ def plan_request_group(group: VectorGroup) -> List[PlanResult]:
     ]
 
 
-def plan_work_item(
-    item: "VectorGroup | PlanRequest",
-) -> "List[PlanResult] | PlanResult":
-    """Plan one backend item — a vector group or a scalar request.
-
-    The single dispatch function :func:`plan_batch_requests` maps over
-    a mixed item list, so a backend receives scalar fallbacks and
-    vector groups in one ``map`` call (one ``/plan_batch`` round trip
-    for ``remote``).  Module-level, so ``remote`` can recognise it.
-    """
-    if isinstance(item, VectorGroup):
-        return plan_request_group(item)
-    return plan_request(item)
-
-
 def plan_batch_requests(
-    requests: Sequence[PlanRequest], backend: Any = None
+    requests: Sequence[PlanRequest], client: Any = None
 ) -> List[PlanResult]:
     """Plan a batch, vectorising where strategies allow it.
 
     Groups ``requests`` by :func:`group_key`, routes groups of two or
     more batch-capable requests through :func:`plan_request_group` and
     everything else through the scalar
-    :func:`~repro.core.pipeline.plan_request`.  Both kinds of work
-    travel through one ``backend.map`` call over a mixed item list
-    when a backend is given (each vector group is a single item), so
-    vectorisation composes with ``serial`` / ``remote`` routing
-    instead of replacing it.  Results align with ``requests`` by
-    index.
+    :func:`~repro.core.pipeline.plan_request`.  Given a plan-server
+    ``client`` (a :class:`~repro.service.client.ServiceClient`), the
+    groups and scalar requests travel instead as one mixed item list
+    in a single ``/plan_batch`` call, and the server plans them; an
+    empty batch never touches the network.  Results align with
+    ``requests`` by index.
     """
+    if not requests:
+        return []
     results: List[PlanResult | None] = [None] * len(requests)
     grouped: dict[Hashable, List[int]] = {}
     scalar_idx: List[int] = []
@@ -229,12 +215,13 @@ def plan_batch_requests(
         )
     scalar_idx.sort()
 
-    items: List[Any] = [group for _, group in vector_groups]
-    items += [requests[i] for i in scalar_idx]
-    if backend is not None:
-        outputs = backend.map(plan_work_item, items)
+    groups = [group for _, group in vector_groups]
+    scalars = [requests[i] for i in scalar_idx]
+    if client is not None:
+        outputs = client.plan_items(groups + scalars)
     else:
-        outputs = [plan_work_item(item) for item in items]
+        outputs = [plan_request_group(group) for group in groups]
+        outputs += [plan_request(req) for req in scalars]
 
     for (idxs, _), group_results in zip(vector_groups, outputs):
         for i, result in zip(idxs, group_results):

@@ -122,8 +122,8 @@ def run_figure4_point(
 
     Sweeps every registered strategy through ``session`` (default: the
     process-wide one), so the point's ``ratios``/``imbalances`` dicts
-    grow with the registry and the sweep plans on whatever backend the
-    session routes to.
+    grow with the registry and the sweep plans wherever the session
+    plans (in process or on a plan server).
     """
     speeds = make_speeds(speed_model, p, rng)
     platform = StarPlatform.from_speeds(speeds)

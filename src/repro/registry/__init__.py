@@ -1,9 +1,9 @@
 """repro.registry — the library's plugin registry.
 
-Every comparable component family — **cost models** (§2), **outer
-product strategies** (§4), **partitioners** (§4.1.2), **DLT solvers**
-(§2–3), **simulations** and **execution backends** — registers here
-under a short name, and all dispatch (the
+Every comparable component family of the paper — **cost models**
+(§2), **outer product strategies** (§4), **partitioners** (§4.1.2),
+**DLT solvers** (§2–3) and **simulations** — registers here under a
+short name, and all dispatch (the
 :func:`repro.core.plan_outer_product` façade, planner sessions, the
 experiment sweeps, the CLI) goes through these catalogues instead of
 hard-coded ``if/elif`` chains.

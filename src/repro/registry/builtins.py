@@ -41,11 +41,6 @@ PROVIDER_MODULES: dict[str, tuple[str, ...]] = {
         "repro.simulate.affinity",
         "repro.mapreduce.scheduler",
     ),
-    "backend": (
-        "repro.core.backends",
-        "repro.service.client",
-    ),
-    "cache": ("repro.core.cache",),
 }
 
 

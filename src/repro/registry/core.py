@@ -2,9 +2,9 @@
 
 A :class:`Registry` maps ``(kind, name)`` pairs to factories.  *Kinds*
 are the component families the library compares (cost models,
-outer-product strategies, partitioners, DLT solvers, simulations,
-execution backends); *names* are the short identifiers used in tables,
-traces and on the command line ("het", "peri-sum", "serial", …).
+outer-product strategies, partitioners, DLT solvers, simulations);
+*names* are the short identifiers used in tables, traces and on the
+command line ("het", "peri-sum", "power-law", …).
 
 Components self-register at import time with the :func:`register`
 decorator; the registry itself never imports them eagerly.  Instead it
@@ -32,8 +32,6 @@ KINDS: Tuple[str, ...] = (
     "partitioner",
     "dlt_solver",
     "simulation",
-    "backend",
-    "cache",
 )
 
 #: the entry-point group third-party distributions register under

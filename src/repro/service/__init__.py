@@ -10,21 +10,19 @@ seam and the PR-4 plan-store protocol:
   threading HTTP server (``/plan``, ``/plan_batch``, ``/cache/get``,
   ``/cache/stats``, ``/healthz``).  Its store is written only by its
   own planning, and many client processes share it as a warm cache.
-* :mod:`repro.service.client` — :class:`ServiceClient`, and
-  :class:`RemoteBackend` (``backend`` kind, spec ``remote:HOST:PORT``),
-  which ships planning items to a server.
+* :mod:`repro.service.client` — :class:`ServiceClient`, which sends
+  planning items to a server; a session built with
+  ``backend="remote:HOST:PORT"`` plans its cache misses through one.
 
-The remote backend registers under the ordinary ``backend`` kind, so
-every existing planning path — sessions, the Figure-4 / ρ experiments,
-the CLI — offloads by switching a spec string, and the service
-contract is the session contract: results are bit-identical to local
-planning (the vectorise suite's ``rtol=1e-12`` envelope), cache
-entries are interchangeable with every other store.
+Every planning path that takes a session spec — sessions, the
+Figure-4 / ρ experiments, the CLI — offloads by switching that string,
+and the service contract is the session contract: results are
+bit-identical to local planning (the vectorise suite's ``rtol=1e-12``
+envelope), cache entries are interchangeable with every other store.
 """
 
 from repro.service.client import (
     PlanServiceError,
-    RemoteBackend,
     ServiceClient,
 )
 from repro.service.server import PlanServer
@@ -33,7 +31,6 @@ from repro.service.wire import WIRE_FORMAT, WIRE_VERSION, WireError
 __all__ = [
     "PlanServer",
     "PlanServiceError",
-    "RemoteBackend",
     "ServiceClient",
     "WIRE_FORMAT",
     "WIRE_VERSION",

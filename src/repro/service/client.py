@@ -1,22 +1,21 @@
-"""The plan server's client, and the remote backend built on it.
+"""The plan server's client.
 
-:class:`RemoteBackend` (kind ``backend``, spec ``remote:HOST:PORT``)
-lets any existing planning path offload to a
-:class:`~repro.service.server.PlanServer` by switching one spec string.
-It implements the ordinary backend contract by shipping its items
+:class:`ServiceClient` is what ``backend="remote:HOST:PORT"`` plans
+through: a session sends its cache misses
 (:class:`~repro.core.pipeline.PlanRequest`\\ s and
-:class:`~repro.core.vectorize.VectorGroup`\\ s, exactly what sessions
-hand every backend) to the server's ``/plan_batch`` and returning the
-planned results in order.  ``PlannerSession(backend="remote:...")``,
+:class:`~repro.core.vectorize.VectorGroup`\\ s) to a
+:class:`~repro.service.server.PlanServer`'s ``/plan_batch`` with
+:meth:`ServiceClient.plan_items` and gets the planned results back in
+order.  ``PlannerSession(backend="remote:...")``,
 ``run_figure4(backend="remote:...")`` and ``repro figure4 --backend
 remote:...`` therefore offload whole sweeps with no other change, and
 every process pointed at one server shares its warm store: the server
 answers a request it planned before from that store.
 
-It rides :class:`ServiceClient`, a stdlib ``http.client`` client that
-keeps its HTTP/1.1 connections alive in a per-process pool, with a
-per-call timeout and bounded retry.  Two failure families retry, on
-different clocks, and nothing else does:
+It is a stdlib ``http.client`` client that keeps its HTTP/1.1
+connections alive in a per-process pool, with a per-call timeout and
+bounded retry.  Two failure families retry, on different clocks, and
+nothing else does:
 
 * *transport* failures (connection refused, resets, timeouts) — the
   request may never have reached a healthy server, and planning is
@@ -52,17 +51,11 @@ import os
 import threading
 import time
 import urllib.parse
-from typing import Any, Callable, Hashable, Iterable, List, Optional, TypeVar
+from typing import Any, Hashable, List, Optional
 
-from repro.core.backends import Backend
-from repro.core.pipeline import PlanRequest, PlanResult, plan_request
-from repro.core.vectorize import plan_work_item
+from repro.core.pipeline import PlanRequest, PlanResult
 from repro.obs import TRACE_HEADER, SpanRecorder, TraceContext, start_trace
-from repro.registry import register
 from repro.service import wire
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: transport errors worth retrying: the request may never have reached
 #: a healthy server (refused/reset/timeout, or a connection that died
@@ -362,6 +355,12 @@ class ServiceClient:
         *,
         trace: Optional[TraceContext] = None,
     ) -> List[Any]:
+        """Plan requests and vector groups on the server, in order.
+
+        One ``/plan_batch`` call: a :class:`PlanResult` comes back per
+        request, a list of them per
+        :class:`~repro.core.vectorize.VectorGroup`.
+        """
         return self.post("/plan_batch", list(items), trace=trace)
 
     def cache_get(
@@ -411,61 +410,3 @@ def _error_message(body: bytes, reason: str) -> str:
         return json.loads(text).get("error", text.strip())
     except (ValueError, AttributeError):
         return reason
-
-
-#: the planners sessions route through backends; a remote backend ships
-#: the *items* instead and lets the server apply the equivalent planner
-_SHIPPABLE_PLANNERS: tuple[Callable[..., Any], ...] = (
-    plan_request,
-    plan_work_item,
-)
-
-
-@register(
-    "backend",
-    "remote",
-    summary="Ship planning items to a repro plan server (remote:HOST:PORT)",
-)
-class RemoteBackend(Backend):
-    """Dispatch planning work to a :class:`PlanServer` over HTTP.
-
-    The backend contract is ``map(fn, items)``; a remote backend cannot
-    ship arbitrary ``fn``, so it accepts exactly the planners sessions
-    use (:func:`~repro.core.pipeline.plan_request` and the vectorised
-    :func:`~repro.core.vectorize.plan_work_item`) and posts the *items*
-    to ``/plan_batch`` — the server plans them through its own session,
-    which is what makes its store a shared warm cache.  Any other ``fn``
-    raises ``TypeError`` rather than silently planning the wrong thing.
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        address: str,
-        *,
-        timeout: float = 60.0,
-        retries: int = 2,
-        retry_wait: float = 0.2,
-    ) -> None:
-        self.client = ServiceClient(
-            address, timeout=timeout, retries=retries, retry_wait=retry_wait
-        )
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        items = list(items)
-        if not items:
-            return []
-        if fn not in _SHIPPABLE_PLANNERS:
-            raise TypeError(
-                "RemoteBackend can only ship the session planners "
-                "(plan_request / plan_work_item); got "
-                f"{getattr(fn, '__name__', fn)!r}"
-            )
-        return self.client.plan_items(items)
-
-    def shutdown(self) -> None:
-        self.client.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RemoteBackend {self.client.base_url}>"

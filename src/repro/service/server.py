@@ -35,9 +35,9 @@ can answer any later request from it.  ``/cache/get`` reads it.
 Concurrency: the HTTP layer is thread-per-connection
 (:class:`http.server.ThreadingHTTPServer`) and the session's store is
 wrapped in :class:`~repro.core.cache.ThreadSafePlanStore`; each
-handler thread plans its own batch in place (the session's backend is
-always ``serial``) — so concurrent clients plan concurrently and still
-see one consistent cache.  Clients retry only transport-level failures
+handler thread plans its own batch in place (the session is always
+``serial``) — so concurrent clients plan concurrently and still see
+one consistent cache.  Clients retry only transport-level failures
 and 429 refusals — see :mod:`repro.service.client`.
 """
 
@@ -147,11 +147,11 @@ class PlanServer(FrontDoor):
     ) -> List[Any]:
         """Plan a ``/plan_batch`` item list through the session.
 
-        Mirrors what a local backend's ``map(plan_work_item, items)``
-        returns — a :class:`PlanResult` per scalar request, a list per
-        :class:`VectorGroup` — but routes through the server session so
-        every planned item lands in (and is served from) the shared
-        store.  All items are flattened into *one* ``plan_batch`` call,
+        Answers what :meth:`ServiceClient.plan_items
+        <repro.service.client.ServiceClient.plan_items>` expects — a
+        :class:`PlanResult` per scalar request, a list per
+        :class:`VectorGroup` — through the server session, so every
+        planned item lands in (and is served from) the shared store.  All items are flattened into *one* ``plan_batch`` call,
         so the server's vectorise pass may fuse groups the client sent
         separately (results are contract-equal either way).
         """

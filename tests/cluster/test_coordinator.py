@@ -129,11 +129,7 @@ class TestEquivalence:
     ):
         requests = _requests(platform, 10)
         address = f"{coordinator.host}:{coordinator.port}"
-        from repro.service.client import RemoteBackend
-
-        backend = RemoteBackend(address)
-        assert backend.client.wire_profile() == profile
-        with PlannerSession(backend=backend, cache=False) as remote:
+        with PlannerSession(backend=f"remote:{address}", cache=False) as remote:
             actual = remote.plan_batch(requests)
         with PlannerSession(cache=False) as local:
             expected = local.plan_batch(requests)

@@ -16,7 +16,6 @@ from repro import registry
 from repro.core.cache import (
     CacheStats,
     MemoryPlanCache,
-    PlanCache,
     PlanStore,
     SQLitePlanCache,
     TieredPlanCache,
@@ -51,9 +50,6 @@ def results_equal(a, b) -> bool:
 
 
 class TestMemoryLRU:
-    def test_plancache_alias_preserved(self):
-        assert PlanCache is MemoryPlanCache
-
     def test_eviction_drops_oldest_key_only(self):
         cache = MemoryPlanCache(max_entries=2)
         entries = [make_entry(n) for n in (100.0, 200.0, 300.0)]
@@ -362,7 +358,14 @@ class TestSpecsAndKeys:
         assert len(encode_key(key_a)) == 64  # sha256 hex
 
     def test_registry_kind_lists_builtin_stores(self):
-        assert registry.available("cache") == ("memory", "sqlite", "tiered")
+        # the spec table in repro.core.cache names the stores; the
+        # plugin registry holds only the paper's component kinds
+        assert "cache" not in registry.kinds()
+        with pytest.raises(
+            ValueError,
+            match=r"expected one of \('memory', 'sqlite', 'tiered'\)",
+        ):
+            cache_from_spec("nope")
 
     @pytest.mark.parametrize("url", ["http://127.0.0.1:1", "https://h:443"])
     def test_tiered_refuses_a_url(self, url, tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
-"""Tests for PlannerSession: backend routing, plan cache, batching."""
+"""Tests for PlannerSession: where misses plan, plan cache, batching."""
 
 import pytest
 
 from repro import registry
-from repro.core.cache import PlanCache, plan_cache_key
+from repro.core.cache import MemoryPlanCache, plan_cache_key
 from repro.core.pipeline import PlanRequest, PlanResult, PlanSweep
 from repro.core.session import (
     PlannerSession,
@@ -111,18 +111,21 @@ class TestSweep:
 
 
 class TestBackendEquivalence:
-    """Acceptance: backends change where planning runs, never results.
+    """Acceptance: the backend spec changes where planning runs, never
+    results.
 
-    The ``remote`` backend's half of the contract lives with the
-    service tests (``tests/service/test_service.py``).
+    The ``remote:`` half of the contract lives with the service tests
+    (``tests/service/test_service.py``).
     """
 
-    def test_backend_instances_accepted(self, heterogeneous_platform):
-        from repro.core.backends import SerialBackend
+    def test_backend_objects_refused(self):
+        # only the two spec strings name where misses are planned
+        class Mapper:
+            def map(self, fn, items):
+                return [fn(item) for item in items]
 
-        with PlannerSession(backend=SerialBackend()) as session:
-            assert session.backend_name == "serial"
-            assert session.sweep(heterogeneous_platform, 100.0).results
+        with pytest.raises(registry.RegistryError, match="unknown backend"):
+            PlannerSession(backend=Mapper())
 
 
 class TestCache:
@@ -236,7 +239,7 @@ class TestCache:
         assert "cache:" not in again.render()
 
     def test_shared_cache_between_sessions(self, heterogeneous_platform):
-        shared = PlanCache()
+        shared = MemoryPlanCache()
         request = PlanRequest(
             platform=heterogeneous_platform, N=1000.0, strategy="het"
         )
@@ -246,7 +249,7 @@ class TestCache:
             assert second.plan(request).cached
 
     def test_lru_eviction(self, heterogeneous_platform):
-        cache = PlanCache(max_entries=2)
+        cache = MemoryPlanCache(max_entries=2)
         with PlannerSession(cache=cache) as session:
             for n in (100.0, 200.0, 300.0):
                 session.plan(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import registry
-from repro.core.cache import PlanCache
+from repro.core.cache import MemoryPlanCache
 from repro.core.pipeline import PlanRequest, plan_request
 from repro.core.session import PlannerSession
 from repro.core.vectorize import (
@@ -211,7 +211,7 @@ class TestCacheInteraction:
             for n in (100, 200)
             for s in ("hom", "het")
         ]
-        shared = PlanCache()
+        shared = MemoryPlanCache()
         with PlannerSession(cache=shared, vectorize=True) as warm:
             planned = warm.plan_batch(requests)
             assert not any(r.cached for r in planned)

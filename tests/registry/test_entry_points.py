@@ -41,13 +41,13 @@ class TestEntryPointDiscovery:
     def test_callable_plugin_registers_components(self, stub_entry_points):
         def install(registry):
             registry.add("strategy", "ep-strategy", lambda: "from plugin")
-            registry.add("backend", "ep-backend", lambda: "backend")
+            registry.add("partitioner", "ep-partitioner", lambda: "cut")
 
         stub_entry_points.append(_StubEntryPoint("my-plugin", install))
         reg = Registry()
         reg.enable_entry_point_discovery()
         assert "ep-strategy" in reg.available("strategy")
-        assert "ep-backend" in reg.available("backend")
+        assert "ep-partitioner" in reg.available("partitioner")
         assert reg.create("strategy", "ep-strategy") == "from plugin"
 
     def test_discovery_is_lazy_and_runs_once(self, stub_entry_points):

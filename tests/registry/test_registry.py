@@ -71,11 +71,11 @@ class TestRegistryCore:
             reg.available("flavour")
 
     def test_add_kind_extends_namespace(self):
-        reg = Registry()
-        reg.add_kind("backend")
-        reg.add("backend", "local", lambda: "ok")
-        assert reg.create("backend", "local") == "ok"
-        assert "backend" in reg.kinds()
+        reg = Registry(kinds=("strategy",))
+        reg.add_kind("simulation")
+        reg.add("simulation", "local", lambda: "ok")
+        assert reg.create("simulation", "local") == "ok"
+        assert reg.kinds() == ("strategy", "simulation")
 
     def test_unregister(self):
         reg = Registry()
@@ -201,7 +201,11 @@ class TestDefaultRegistry:
     """The process-wide registry holding the paper's built-ins."""
 
     def test_all_kinds_present(self):
-        assert registry.kinds() == KINDS
+        # exactly the paper's five component families
+        assert registry.kinds() == KINDS == (
+            "cost_model", "strategy", "partitioner", "dlt_solver",
+            "simulation",
+        )
 
     def test_builtin_strategies(self):
         assert set(registry.available("strategy")) == {"hom", "hom/k", "het"}
@@ -227,9 +231,11 @@ class TestDefaultRegistry:
         } <= names
 
     def test_builtin_backends(self):
-        # planning runs in the calling thread or on a plan server;
-        # there is no pooled backend
-        assert registry.available("backend") == ("remote", "serial")
+        # where misses are planned (serial or remote:HOST:PORT) and the
+        # plan store are session specs, not registered components
+        for kind in ("backend", "cache"):
+            with pytest.raises(UnknownKindError):
+                registry.available(kind)
 
     def test_builtin_simulations(self):
         names = set(registry.available("simulation"))

@@ -1,4 +1,4 @@
-"""End-to-end tests for the plan service: server and remote backend.
+"""End-to-end tests for the plan service: server and remote sessions.
 
 The acceptance contract this file enforces:
 
@@ -27,16 +27,13 @@ import numpy as np
 import pytest
 
 from repro import registry
-from repro.core.pipeline import PlanRequest, PlanResult, plan_request
+from repro.core.cache import cache_from_spec
+from repro.core.pipeline import PlanRequest, PlanResult
 from repro.core.session import PlannerSession
-from repro.core.vectorize import VectorGroup
+from repro.core.vectorize import VectorGroup, plan_batch_requests
 from repro.experiments.figure4 import run_figure4
 from repro.platform.star import StarPlatform
-from repro.service.client import (
-    PlanServiceError,
-    RemoteBackend,
-    ServiceClient,
-)
+from repro.service.client import PlanServiceError, ServiceClient
 from repro.service.server import PlanServer
 
 #: src directory, so client subprocesses import this checkout
@@ -55,13 +52,15 @@ def platform():
 
 
 class TestRegistration:
-    def test_remote_backend_registered(self):
-        assert "remote" in registry.available("backend")
-
     def test_no_network_cache_registered(self):
         # a plan server's store is shared through remote:, never written
         # over the network
-        assert registry.available("cache") == ("memory", "sqlite", "tiered")
+        with pytest.raises(
+            registry.RegistryError,
+            match=r"unknown cache 'http'; expected one of "
+            r"\('memory', 'sqlite', 'tiered'\)",
+        ):
+            cache_from_spec("http://127.0.0.1:1")
 
 
 class TestHealthAndStats:
@@ -160,14 +159,13 @@ class TestRemoteBackend:
         assert after.hits - before.hits >= 3
         assert all(res.cached for res in sweep.results.values())
 
-    def test_rejects_arbitrary_functions(self, server):
-        backend = RemoteBackend(f"{server.host}:{server.port}")
-        with pytest.raises(TypeError, match="plan_request"):
-            backend.map(len, [[1, 2]])
-
     def test_empty_map_is_local_noop(self):
         # no server needed: an empty batch never touches the network
-        assert RemoteBackend("127.0.0.1:1", retries=0).map(plan_request, []) == []
+        with ServiceClient("127.0.0.1:1", retries=0) as client:
+            assert plan_batch_requests([], client) == []
+        with PlannerSession(backend="remote:127.0.0.1:1") as session:
+            assert session.plan_batch([]) == []
+            assert session.plan_batch([], vectorize=False) == []
 
     def test_server_plans_wire_batch_in_one_session_call(
         self, server, platform

@@ -18,11 +18,11 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PlanRequest, plan_request
+from repro.core.pipeline import PlanRequest
 from repro.core.session import PlannerSession
 from repro.platform.star import StarPlatform
 from repro.service import wire
-from repro.service.client import RemoteBackend, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.server import PlanServer
 
 
@@ -105,9 +105,9 @@ class TestCrossProfileEquivalence:
         ]
         with PlannerSession(cache=False) as local:
             expected = local.plan_batch(requests)
-        backend = RemoteBackend(server.url)
-        assert backend.client.wire_profile() == profile
-        got = backend.map(plan_request, requests)
+        with ServiceClient(server.url) as client:
+            assert client.wire_profile() == profile
+            got = client.plan_items(requests)
         for e, g in zip(expected, got):
             assert_results_identical(e, g)
 

@@ -84,8 +84,8 @@ class TestCommands:
         )
         assert rc == 2
         assert (
-            "unknown backend 'threaded'; expected one of "
-            "('remote', 'serial')" in capsys.readouterr().err
+            "unknown backend 'threaded'; expected 'serial' or "
+            "'remote:HOST:PORT'" in capsys.readouterr().err
         )
 
     def test_compare_no_cache(self, capsys):
@@ -143,14 +143,6 @@ class TestCommands:
         )
         assert rc == 0
         assert "Figure 4" in capsys.readouterr().out
-
-    def test_list_backends(self, capsys):
-        rc = main(["list", "backend"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "backend (2 registered):"
-        assert [line.split()[0] for line in lines[1:]] == ["remote", "serial"]
 
     def test_seed_threaded_through(self, capsys):
         main(["--seed", "7", "sort", "--n", "5000"])
@@ -241,8 +233,40 @@ class TestBackendSpecs:
         )
         err = capsys.readouterr().err
         assert rc == 2
-        assert "bad backend spec 'serial:foo'" in err
-        assert "SerialBackend() takes no arguments" in err
+        assert "unknown backend 'serial:foo'" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["threaded", "serial:foo", "remote:", "nope:arg"]
+    )
+    def test_malformed_spec_names_itself_and_both_forms(self, spec, capsys):
+        rc = main(["compare", "--speeds", "1", "2", "--backend", spec])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert repr(spec) in captured.err
+        assert "expected 'serial' or 'remote:HOST:PORT'" in captured.err
+
+
+class TestBadSpecPrintsNothing:
+    """A bad spec or name fails before the platform description."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--backend", "threaded"],
+            ["plan", "--cache", "memory:x"],
+            ["plan", "--strategy", "nope"],
+            ["compare", "--backend", "threaded"],
+            ["compare", "--cache", "memory:x"],
+        ],
+        ids=["plan-backend", "plan-cache", "plan-strategy",
+             "compare-backend", "compare-cache"],
+    )
+    def test_exit_2_and_empty_stdout(self, argv, capsys):
+        rc = main([*argv, "--speeds", "1", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
 
 class TestCacheSpecs:

@@ -10,14 +10,16 @@ class TestList:
         rc = main(["list"])
         out = capsys.readouterr().out
         assert rc == 0
-        for kind in (
-            "cost_model",
-            "strategy",
-            "partitioner",
-            "dlt_solver",
+        # one section per kind: exactly the paper's five families
+        headers = [
+            line.split(" (")[0]
+            for line in out.splitlines()
+            if line and not line.startswith(" ")
+        ]
+        assert headers == [
+            "cost_model", "strategy", "partitioner", "dlt_solver",
             "simulation",
-        ):
-            assert kind in out
+        ]
         # a representative of each family
         for name in ("het", "peri-sum", "linear-parallel", "demand-driven"):
             assert name in out
@@ -32,6 +34,15 @@ class TestList:
     def test_list_rejects_unknown_kind(self):
         with pytest.raises(SystemExit):
             main(["list", "flavour"])
+
+    @pytest.mark.parametrize("kind", ["backend", "cache"])
+    def test_infrastructure_is_not_a_kind(self, kind, capsys):
+        # where misses are planned and which store holds plans are
+        # session specs, not registered components
+        with pytest.raises(SystemExit) as exc:
+            main(["list", kind])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestPlan:
