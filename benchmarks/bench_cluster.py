@@ -10,11 +10,14 @@ worker, same workload, same wire.  Three legs:
   front door itself costs;
 * **cluster** — three workers behind a coordinator: the scale-out.
 
-Workers run ``--no-vectorize`` and cacheless so each request costs
-real, un-amortised planner CPU — that is the regime scale-out exists
-for (the vectorised kernels are so fast post-PR-6 that wire latency
-dominates and no pool can help).  All legs must return bit-identical
-plans (rtol=1e-12).
+The workload is ``hom/k`` on a fresh random p=16 platform per
+request, planned by cacheless workers on their default settings.  The
+k-refinement re-plans ``hom`` with one demand-driven schedule per
+platform, which no batch kernel amortises, so each request costs real
+planner CPU — the regime scale-out exists for.  (Many requests on one
+platform would batch into a kernel so fast that wire latency dominates
+and no pool can help.)  All legs must return bit-identical plans
+(rtol=1e-12).
 
 Emits a ``BENCH {...}`` line; ``scripts/check_bench.py`` diffs it
 against ``BENCH_cluster.json``.  The ≥2.5x acceptance floor only
@@ -39,8 +42,8 @@ from repro.platform.star import StarPlatform
 SPEEDUP_FLOOR = 2.5
 MIN_CPUS_FOR_FLOOR = 3
 
-N_REQUESTS = 240
-P = 256
+N_REQUESTS = 48
+P = 16
 
 
 def _timed(fn):
@@ -50,11 +53,14 @@ def _timed(fn):
 
 
 def _requests(count=N_REQUESTS, p=P, seed=20130521):
-    """Heterogeneous scalar instances heavy enough to time planning."""
+    """``hom/k`` instances, each on its own random platform."""
     rng = np.random.default_rng(seed)
-    platform = StarPlatform.from_speeds(rng.uniform(1.0, 8.0, size=p))
     return [
-        PlanRequest(platform=platform, N=40_000.0 + i, strategy="het")
+        PlanRequest(
+            platform=StarPlatform.from_speeds(rng.uniform(1.0, 100.0, size=p)),
+            N=10_000.0 + i,
+            strategy="hom/k",
+        )
         for i in range(count)
     ]
 
@@ -77,11 +83,10 @@ def test_cluster_scale_out_throughput(tmp_path):
     requests = _requests()
     cpu_count = os.cpu_count() or 1
 
-    # legs 1+2: one scalar worker, bare and behind a coordinator
+    # legs 1+2: one worker, bare and behind a coordinator
     with LocalCluster(
         n=1,
         cache=None,
-        vectorize=False,
         state_path=str(tmp_path / "one.json"),
     ) as single:
         direct_s, direct_results = _sweep(
@@ -89,11 +94,10 @@ def test_cluster_scale_out_throughput(tmp_path):
         )
         proxy_s, proxy_results = _sweep(_address(single.url), requests)
 
-    # leg 3: three scalar workers behind a coordinator
+    # leg 3: three workers behind a coordinator
     with LocalCluster(
         n=3,
         cache=None,
-        vectorize=False,
         state_path=str(tmp_path / "three.json"),
     ) as pool:
         cluster_s, cluster_results = _sweep(_address(pool.url), requests)

@@ -6,13 +6,14 @@ session API surface, this walks what happens *inside* ``plan_batch``
 when a sweep-shaped workload (few platforms × many problem sizes ×
 closed-form strategies) hits the vectorised path:
 
-1. build a ρ-sweep-style batch and plan it both ways — scalar and
-   vectorised — through cacheless sessions, timing each;
+1. build a ρ-sweep-style batch and plan it both ways — one
+   ``plan_request`` per request, and one cacheless session batch —
+   timing each;
 2. verify the equivalence contract (plans agree to ``rtol = 1e-12``;
    here they are bit-identical);
 3. show the grouping machinery itself (`repro.core.vectorize`);
-4. show that the plan cache is path-agnostic: entries warmed by the
-   vectorised path serve the scalar path, and vice versa.
+4. show that the plan cache is path-agnostic: entries a batch warmed
+   serve single ``plan`` calls.
 
 Run: ``python examples/batch_planning.py``
 """
@@ -22,7 +23,7 @@ import time
 import numpy as np
 
 from repro.core.cache import MemoryPlanCache
-from repro.core.pipeline import PlanRequest
+from repro.core.pipeline import PlanRequest, plan_request
 from repro.core.session import PlannerSession
 from repro.core.vectorize import batch_capable, group_key, plan_batch_requests
 from repro import registry
@@ -52,11 +53,10 @@ def main() -> None:
           f"(4 platforms x 30 sizes x hom/het)\n")
 
     # --- 1. scalar vs vectorised, timed ------------------------------
-    with PlannerSession(cache=False, vectorize=False) as scalar:
-        start = time.perf_counter()
-        scalar_results = scalar.plan_batch(requests)
-        scalar_s = time.perf_counter() - start
-    with PlannerSession(cache=False, vectorize=True) as vectorised:
+    start = time.perf_counter()
+    scalar_results = [plan_request(req) for req in requests]
+    scalar_s = time.perf_counter() - start
+    with PlannerSession(cache=False) as vectorised:
         start = time.perf_counter()
         vector_results = vectorised.plan_batch(requests)
         vector_s = time.perf_counter() - start
@@ -100,11 +100,11 @@ def main() -> None:
 
     # --- 4. the cache is path-agnostic -------------------------------
     shared = MemoryPlanCache()
-    with PlannerSession(cache=shared, vectorize=True) as warm:
+    with PlannerSession(cache=shared) as warm:
         warm.plan_batch(requests)
-    with PlannerSession(cache=shared, vectorize=False) as reader:
-        served = reader.plan_batch(requests)
-    print(f"entries warmed vectorised, read scalar: "
+    with PlannerSession(cache=shared) as reader:
+        served = [reader.plan(req) for req in requests]
+    print(f"entries warmed by a batch, read one by one: "
           f"{sum(r.cached for r in served)}/{len(served)} hits")
     print(shared.stats.render())
 

@@ -17,7 +17,7 @@ Run: ``python examples/session_tour.py``
 
 import math
 
-from repro.core.pipeline import PlanRequest
+from repro.core.pipeline import PlanRequest, plan_request
 from repro.core.session import PlannerSession
 from repro.platform.star import StarPlatform
 
@@ -45,8 +45,8 @@ def main() -> None:
     print()
 
     # --- 3. one batch, vectorised -------------------------------------
-    # Misses sharing a strategy are planned by one NumPy kernel call;
-    # vectorize=False plans each alone and returns the same plans.
+    # Misses sharing a strategy are planned by one NumPy kernel call,
+    # which returns the same plans as planning each request alone.
     requests = [
         PlanRequest(platform=platform, N=float(n), strategy=name)
         for n in (1_000, 2_000, 4_000)
@@ -54,7 +54,7 @@ def main() -> None:
     ]
     with PlannerSession(cache=False) as batched:
         batch = batched.plan_batch(requests)
-        scalar = batched.plan_batch(requests, vectorize=False)
+    scalar = [plan_request(req) for req in requests]
     for res, ref in zip(batch, scalar):
         assert math.isclose(res.comm_volume, ref.comm_volume, rel_tol=1e-12)
         print(

@@ -8,7 +8,6 @@ console script; ``python -m repro`` works too)::
     repro plan --speeds 1 2 4 8 --N 10000
     repro plan --speeds 1 2 4 8 --strategy hom/k
     repro compare --speeds 1 2 4 8   # sweep every registered strategy
-    repro compare --speeds 1 2 4 8 --no-vectorize   # scalar misses
     repro compare --speeds 1 2 4 8 --cost-model piecewise
     repro serve --port 8640 --cache tiered:plans.db   # HTTP plan server
     repro figure4 --backend remote:localhost:8640 --no-cache  # offload
@@ -64,9 +63,7 @@ def _session_from_args(args: argparse.Namespace):
     from repro.core.session import PlannerSession
 
     return PlannerSession(
-        backend=getattr(args, "backend", "serial"),
-        cache=_cache_arg(args),
-        vectorize=getattr(args, "vectorize", True),
+        backend=getattr(args, "backend", "serial"), cache=_cache_arg(args)
     )
 
 
@@ -130,7 +127,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_session_options(parser: argparse.ArgumentParser) -> None:
-    """``--backend`` plus the planning options: the client commands."""
+    """``--backend`` plus the plan store options: the client commands."""
     parser.add_argument(
         "--backend",
         type=str,
@@ -146,7 +143,7 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_planning_options(parser: argparse.ArgumentParser) -> None:
-    """Plan store and vectorisation options (servers take only these)."""
+    """Plan store options (servers take only these)."""
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -167,15 +164,6 @@ def _add_planning_options(parser: argparse.ArgumentParser) -> None:
             "remote:HOST:PORT"
         ),
     )
-    parser.add_argument(
-        "--vectorize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "fuse batched cache misses through the strategies' NumPy "
-            "kernels (results are identical either way; default: on)"
-        ),
-    )
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
@@ -189,7 +177,6 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.backend,
         cache=_cache_arg(args),
-        vectorize=args.vectorize,
     )
     print(result.render())
     if args.chart:
@@ -229,7 +216,6 @@ def _cmd_rho(args: argparse.Namespace) -> int:
             N=args.N,
             backend=args.backend,
             cache=_cache_arg(args),
-            vectorize=args.vectorize,
         ).render()
     )
     return 0
@@ -405,7 +391,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache=_cache_arg(args),
-        vectorize=args.vectorize,
         max_inflight=args.max_inflight,
         access_log=_access_log_from_arg(args),
         span_recorder=_span_recorder_from_arg(args, "server"),
@@ -441,7 +426,6 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache=None if args.no_cache else (args.cache or "memory"),
-        vectorize=args.vectorize,
         max_inflight=args.max_inflight,
         worker_max_inflight=args.worker_max_inflight,
         state_path=args.state or default_state_path(),
@@ -1114,14 +1098,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     from repro.registry import RegistryError
     from repro.service.client import PlanServiceError
+    from repro.service.frontdoor import ListenError
 
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (RegistryError, PlanServiceError) as exc:
-        # unknown/duplicate component names and unreachable plan
-        # servers are user errors: report them like argparse does
-        # (message + exit 2), not as a traceback
+    except (RegistryError, PlanServiceError, ListenError) as exc:
+        # unknown/duplicate component names, unreachable plan servers
+        # and a --host/--port a server cannot listen on are user
+        # errors: report them like argparse does (message + exit 2),
+        # not as a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -154,7 +154,6 @@ class LocalCluster:
         host: str = "127.0.0.1",
         port: int = 0,
         cache: "str | None" = "memory",
-        vectorize: bool = True,
         max_inflight: int | None = None,
         worker_max_inflight: int | None = None,
         heartbeat_interval: float = 0.5,
@@ -172,7 +171,6 @@ class LocalCluster:
         self.host = host
         self.port = int(port)
         self.cache = cache
-        self.vectorize = vectorize
         self.max_inflight = max_inflight
         self.worker_max_inflight = worker_max_inflight
         self.heartbeat_interval = float(heartbeat_interval)
@@ -191,6 +189,9 @@ class LocalCluster:
         self.span_recorder = span_recorder
         self.workers: List[_Worker] = []
         self.coordinator: Optional[ClusterCoordinator] = None
+        #: set once start() wrote the state file: a failed start must
+        #: not remove the file of another cluster at the same path
+        self._wrote_state = False
         self._closed = False
 
     # -- spawning ---------------------------------------------------------
@@ -210,8 +211,6 @@ class LocalCluster:
             command.append("--no-cache")
         else:
             command += ["--cache", str(self.cache).replace("{i}", str(index))]
-        if not self.vectorize:
-            command.append("--no-vectorize")
         if self.worker_max_inflight is not None:
             command += ["--max-inflight", str(self.worker_max_inflight)]
         if self.trace:
@@ -234,6 +233,23 @@ class LocalCluster:
             return self
         env = self._spawn_env()
         try:
+            recorder = self.span_recorder
+            if recorder is None and self.trace:
+                recorder = SpanRecorder.open(
+                    self.trace, service="coordinator"
+                )
+            # bound before any worker spawns: a host or port the
+            # coordinator cannot listen on fails with nothing to reap
+            self.coordinator = ClusterCoordinator(
+                host=self.host,
+                port=self.port,
+                max_inflight=self.max_inflight,
+                heartbeat_interval=self.heartbeat_interval,
+                max_missed=self.max_missed,
+                max_reroutes=self.max_reroutes,
+                access_log=self.access_log,
+                span_recorder=recorder,
+            )
             for index in range(self.n):
                 proc = subprocess.Popen(
                     self._worker_command(index),
@@ -242,32 +258,17 @@ class LocalCluster:
                     env=env,
                 )
                 self.workers.append(_Worker(index, proc))
-            urls = [
-                worker.wait_ready(self.startup_timeout)
-                for worker in self.workers
-            ]
-            recorder = self.span_recorder
-            if recorder is None and self.trace:
-                recorder = SpanRecorder.open(
-                    self.trace, service="coordinator"
+            for worker in self.workers:
+                self.coordinator.pool.register(
+                    worker.wait_ready(self.startup_timeout)
                 )
-            self.coordinator = ClusterCoordinator(
-                host=self.host,
-                port=self.port,
-                workers=urls,
-                max_inflight=self.max_inflight,
-                heartbeat_interval=self.heartbeat_interval,
-                max_missed=self.max_missed,
-                max_reroutes=self.max_reroutes,
-                access_log=self.access_log,
-                span_recorder=recorder,
-            )
             self.coordinator.start()
         except Exception:
             self.close()
             raise
         if self.state_path:
             write_state(self.state_path, self.state())
+            self._wrote_state = True
         return self
 
     # -- state ------------------------------------------------------------
@@ -324,7 +325,7 @@ class LocalCluster:
                 worker.proc.kill()
                 worker.proc.wait(timeout=5)
             worker.release()
-        if self.state_path:
+        if self._wrote_state:
             remove_state(self.state_path)
 
     def __enter__(self) -> "LocalCluster":

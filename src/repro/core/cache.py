@@ -240,13 +240,14 @@ class MemoryPlanCache:
 
     Not thread-safe by itself; sessions perform all cache traffic on
     the calling thread, so no lock is needed there.  Entries are
-    path-agnostic: scalar and vectorised planning produce
+    path-agnostic: a batch kernel and the scalar planner produce
     interchangeable results (the vectorisation equivalence contract),
-    so a cache may be warmed by either and shared between sessions::
+    so a store warmed by one session's batches serves another
+    session's single ``plan`` calls::
 
         shared = MemoryPlanCache(max_entries=10_000)
         a = PlannerSession(cache=shared)
-        b = PlannerSession(cache=shared, vectorize=False)
+        b = PlannerSession(backend="remote:HOST:PORT", cache=shared)
 
     ``put`` evicts least-recently-used entries beyond ``max_entries``
     and counts them in ``stats.evictions``; evictions never touch the

@@ -12,14 +12,11 @@ A session owns the concerns the free-function pipeline lacked:
   Figure-4 protocol's repeated queries and service-style workloads
   skip re-planning; hits surface in :class:`PlanSweep` tables and
   :meth:`cache_stats`;
-* **defaults** — session-wide default params (e.g. an
-  ``imbalance_target`` house style) merge under each request's own;
-* **vectorisation** — cache misses that share a strategy (and its
-  effective params) are grouped and planned through the strategy's
-  batched NumPy kernel when it has one (:mod:`repro.core.vectorize`),
-  falling back to scalar planning otherwise; toggled per session
-  (``PlannerSession(vectorize=False)``) or per call
-  (``plan_batch(requests, vectorize=False)``).
+* **batching** — a batch's cache misses are planned by
+  :func:`repro.core.vectorize.plan_batch_requests`: misses that share
+  a strategy (and its effective params) go through the strategy's
+  batched NumPy kernel when it has one, everything else through the
+  scalar :func:`repro.core.pipeline.plan_request`.
 
 Usage::
 
@@ -31,8 +28,8 @@ Usage::
     print(sweep.render(), session.cache_stats().render(), sep="\\n")
 
 Results are bit-identical either way: the spec only changes *where*
-:func:`repro.core.pipeline.plan_request` runs, never what it computes,
-and sweeps iterate in sorted strategy order.
+a batch is planned, never what it computes, and sweeps iterate in
+sorted strategy order.
 
 The module-level :func:`default_session` (serial, caching) backs the
 façade in :mod:`repro.core.strategies`.
@@ -41,7 +38,7 @@ façade in :mod:`repro.core.strategies`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List, Mapping, Sequence
+from typing import Any, List, Sequence
 
 from repro import obs, registry
 from repro.core.cache import (
@@ -51,12 +48,7 @@ from repro.core.cache import (
     cache_from_spec,
     plan_cache_key,
 )
-from repro.core.pipeline import (
-    PlanRequest,
-    PlanResult,
-    PlanSweep,
-    plan_request,
-)
+from repro.core.pipeline import PlanRequest, PlanResult, PlanSweep
 from repro.core.vectorize import plan_batch_requests
 from repro.platform.star import StarPlatform
 from repro.registry import RegistryError
@@ -109,19 +101,6 @@ class PlannerSession:
         store between sessions, or hand over a durable
         :class:`~repro.core.cache.SQLitePlanCache` so plans survive
         the process and sweeps resume from disk.
-    vectorize:
-        ``True`` (default) routes each batch's cache misses through
-        :func:`repro.core.vectorize.plan_batch_requests`, which fuses
-        requests sharing a strategy into one NumPy kernel call where
-        the strategy supports it (``hom``, ``het`` and ``hom/k`` do);
-        ``False`` plans every miss through the scalar
-        :func:`~repro.core.pipeline.plan_request`.  Both paths return
-        equal plans (bit-identical up to a documented ``rtol = 1e-12``),
-        so cached entries are interchangeable; :meth:`plan_batch` and
-        :meth:`sweep` can override the session default per call.
-    default_params:
-        Session-wide strategy params merged *under* each request's own
-        (the request wins on conflicts).
     """
 
     def __init__(
@@ -129,8 +108,6 @@ class PlannerSession:
         backend: str = "serial",
         *,
         cache: bool | str | PlanStore = True,
-        vectorize: bool = True,
-        **default_params: Any,
     ) -> None:
         # parsed before the cache spec: a bad backend spec then fails
         # before a sqlite store opens a connection
@@ -148,8 +125,6 @@ class PlannerSession:
             self._cache = cache_from_spec(cache)
         else:
             self._cache = cache
-        self.vectorize = bool(vectorize)
-        self.default_params: dict[str, Any] = dict(default_params)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -184,31 +159,25 @@ class PlannerSession:
     def plan(self, request: PlanRequest) -> PlanResult:
         """Plan one request (cache first, then the planner).
 
-        A single request never enters a vector group, so ``plan`` stays
-        on the exact scalar codepath whatever the session's
-        ``vectorize`` setting.
+        A single request never enters a vector group, so ``plan`` runs
+        the scalar :func:`~repro.core.pipeline.plan_request` on a miss.
         """
         return self.plan_batch((request,))[0]
 
     def plan_batch(
         self,
         requests: Sequence[PlanRequest],
-        *,
-        vectorize: bool | None = None,
     ) -> List[PlanResult]:
         """Plan many requests; results align with ``requests`` by index.
 
         Cache lookups happen up front on the calling thread; only the
         misses are planned (here, or on the plan server in one
         ``/plan_batch`` call), and their results are cached on the way
-        back.  With vectorisation on (the session default unless
-        ``vectorize`` overrides it), misses sharing a strategy are
-        fused into one batched kernel call per group, and strategies
-        without a kernel fall back to scalar planning.  Cache traffic
-        (lookups, misses, stored entries) is identical on both paths.
+        back.  Misses sharing a strategy are fused into one batched
+        kernel call per group; singletons and strategies without a
+        kernel are planned one by one
+        (:func:`~repro.core.vectorize.plan_batch_requests`).
         """
-        use_vectorize = self.vectorize if vectorize is None else bool(vectorize)
-        requests = [self._with_defaults(req) for req in requests]
         results: List[PlanResult | None] = [None] * len(requests)
         misses: List[tuple[int, Any, PlanRequest]] = []
         # obs.span is a no-op unless the calling thread carries an
@@ -241,17 +210,8 @@ class PlannerSession:
             # recorded on the calling thread, so it covers kernel time
             # plus any remote round trip — the whole planning cost of
             # the batch as this request experienced it
-            with obs.span(
-                "plan_kernel",
-                misses=len(misses),
-                vectorize=use_vectorize,
-            ):
-                if use_vectorize:
-                    planned = plan_batch_requests(miss_requests, self._client)
-                elif self._client is not None:
-                    planned = self._client.plan_items(miss_requests)
-                else:
-                    planned = [plan_request(req) for req in miss_requests]
+            with obs.span("plan_kernel", misses=len(misses)):
+                planned = plan_batch_requests(miss_requests, self._client)
             for (i, key, _), result in zip(misses, planned):
                 if self._cache is not None:
                     self._cache.put(key, result)
@@ -263,20 +223,15 @@ class PlannerSession:
         platform: StarPlatform,
         N: float,
         strategies: Sequence[str] | None = None,
-        vectorize: bool | None = None,
         **params: Any,
     ) -> PlanSweep:
         """Every registered (or the named) strategies on one instance.
 
         Deterministic by construction: strategy order is sorted by name
         wherever misses are planned, each strategy's plan is independent of the
-        others, and planning itself is pure — so serial, remote and
-        vectorised sweeps all render identical tables.  The sweep
+        others, and planning itself is pure — so serial and remote
+        sweeps render identical tables.  The sweep
         records how its requests fared against the plan cache.
-        ``vectorize`` overrides the session default for this sweep (a
-        sweep holds one request per strategy, so fusion only kicks in
-        when strategies repeat — it mainly matters for callers looping
-        sweeps through :meth:`plan_batch`).
         """
         names = (
             tuple(sorted(strategies))
@@ -288,8 +243,7 @@ class PlannerSession:
             [
                 PlanRequest(platform=platform, N=N, strategy=name, params=params)
                 for name in names
-            ],
-            vectorize=vectorize,
+            ]
         )
         hits = misses = None
         if self._cache is not None and before is not None:
@@ -318,19 +272,6 @@ class PlannerSession:
         """Invalidate every cached plan and reset the statistics."""
         if self._cache is not None:
             self._cache.clear()
-
-    # -- helpers ---------------------------------------------------------
-
-    def _with_defaults(self, request: PlanRequest) -> PlanRequest:
-        if not self.default_params:
-            return request
-        merged: Mapping[str, Any] = {
-            **self.default_params,
-            **dict(request.params),
-        }
-        if merged == dict(request.params):
-            return request
-        return replace(request, params=merged)
 
 
 #: lazily constructed process-wide session backing the façade helpers

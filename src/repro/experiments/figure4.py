@@ -156,7 +156,6 @@ def run_figure4(
     session: PlannerSession | None = None,
     backend: str = "serial",
     cache: "bool | str | PlanStore" = True,
-    vectorize: bool = True,
 ) -> Figure4Result:
     """Reproduce one panel of Figure 4.
 
@@ -177,10 +176,6 @@ def run_figure4(
     seed/protocol, same path) replays every already-planned point as a
     disk hit and only plans the remainder — the resumed panel is
     identical to an uninterrupted run.
-
-    ``vectorize`` sets the fresh session's batched-kernel routing
-    (:mod:`repro.core.vectorize`); either setting yields the same
-    panel, per the vectorisation equivalence contract.
     """
     processors = tuple(int(p) for p in processors)
     names = strategy_names()
@@ -188,9 +183,7 @@ def run_figure4(
     means = {name: np.empty(len(processors)) for name in names}
     stds = {name: np.empty(len(processors)) for name in names}
     own_session = session is None
-    session = session or PlannerSession(
-        backend=backend, cache=cache, vectorize=vectorize
-    )
+    session = session or PlannerSession(backend=backend, cache=cache)
     try:
         for i, p in enumerate(processors):
             samples = {name: np.empty(trials) for name in names}

@@ -58,23 +58,19 @@ def run_rho_experiment(
     session: PlannerSession | None = None,
     backend: str = "serial",
     cache: "bool | str | PlanStore" = True,
-    vectorize: bool = True,
 ) -> RhoResult:
     """Experiment E6 of DESIGN.md.
 
     All (k, strategy) cells plan through one session — repeated runs
     (e.g. a report regenerating the table) are pure cache hits.  When
     no ``session`` is given, one is built from ``backend`` / ``cache``
-    / ``vectorize`` exactly like
-    :func:`~repro.experiments.figure4.run_figure4`; the platforms are
-    deterministic in (k, p), so ``cache="sqlite:PATH"`` makes the
-    table resumable — a rerun against the same path replays finished
-    (k, strategy) cells from disk.
+    exactly like :func:`~repro.experiments.figure4.run_figure4`; the
+    platforms are deterministic in (k, p), so ``cache="sqlite:PATH"``
+    makes the table resumable — a rerun against the same path replays
+    finished (k, strategy) cells from disk.
     """
     own_session = session is None
-    session = session or PlannerSession(
-        backend=backend, cache=cache, vectorize=vectorize
-    )
+    session = session or PlannerSession(backend=backend, cache=cache)
     rows = []
     try:
         for k in ks:

@@ -314,6 +314,10 @@ def _hang_up(conn: socket.socket) -> None:
         pass  # the peer is gone already
 
 
+class ListenError(OSError):
+    """A front door cannot listen on the host and port it was given."""
+
+
 class _HTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     #: set by FrontDoor right after binding
@@ -361,7 +365,14 @@ class FrontDoor:
 
     def _listen(self, host: str, port: int) -> None:
         self.routes: Dict[str, Route] = self.route_table()
-        self._http = _HTTPServer((host, port), FrontDoorHandler)
+        try:
+            self._http = _HTTPServer((host, port), FrontDoorHandler)
+        except (OSError, OverflowError, ValueError) as exc:
+            # a busy port, a port outside 0-65535, or a host name that
+            # does not resolve (gaierror) or encode (UnicodeError)
+            raise ListenError(
+                f"cannot listen on {host}:{port}: {exc}"
+            ) from exc
         self._http.door = self
         self.host, self.port = self._http.server_address[:2]
         self._thread: threading.Thread | None = None

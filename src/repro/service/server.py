@@ -1,7 +1,8 @@
 """The HTTP plan server: ``repro serve`` (stdlib-only, no new deps).
 
 One process owns a :class:`~repro.core.session.PlannerSession` — with
-any registered plan store behind it — and serves it to the network:
+a memory, sqlite or tiered plan store behind it, or none — and serves
+it to the network:
 
 ==================  ====  =================================================
 endpoint            verb  payload
@@ -98,7 +99,6 @@ class PlanServer(FrontDoor):
         port: int = 0,
         *,
         cache: "bool | str | PlanStore" = True,
-        vectorize: bool = True,
         max_inflight: int | None = None,
         retry_after: float = 0.5,
         access_log: AccessLog | None = None,
@@ -120,8 +120,7 @@ class PlanServer(FrontDoor):
         # mutable state they share, so serialise it and nothing else
         self._store = ThreadSafePlanStore(store) if store is not None else None
         self.session = PlannerSession(
-            cache=self._store if self._store is not None else False,
-            vectorize=vectorize,
+            cache=self._store if self._store is not None else False
         )
         self.cache_spec = cache if isinstance(cache, str) else (
             "off" if store is None else type(store).__name__
@@ -151,9 +150,10 @@ class PlanServer(FrontDoor):
         <repro.service.client.ServiceClient.plan_items>` expects — a
         :class:`PlanResult` per scalar request, a list per
         :class:`VectorGroup` — through the server session, so every
-        planned item lands in (and is served from) the shared store.  All items are flattened into *one* ``plan_batch`` call,
-        so the server's vectorise pass may fuse groups the client sent
-        separately (results are contract-equal either way).
+        planned item lands in (and is served from) the shared store.
+        All items are flattened into *one* ``plan_batch`` call, so the
+        server may fuse groups the client sent separately (results are
+        contract-equal either way).
         """
         flat: List[PlanRequest] = []
         group_sizes: List[int | None] = []

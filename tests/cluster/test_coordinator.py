@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator, NoWorkersError
-from repro.core.pipeline import PlanRequest
+from repro.core.pipeline import PlanRequest, plan_request
 from repro.core.session import PlannerSession
 from repro.core.vectorize import VectorGroup
 from repro.platform.star import StarPlatform
@@ -138,17 +138,14 @@ class TestEquivalence:
     def test_vectorized_sweep_shards_and_matches(
         self, coordinator, workers, platform
     ):
-        # a vectorised client fuses the sweep into one VectorGroup;
+        # a client session fuses the sweep into one VectorGroup;
         # the coordinator must shard it across workers (scale-out!)
         # and reassemble bit-identically
         requests = _requests(platform, 12)
         address = f"{coordinator.host}:{coordinator.port}"
-        with PlannerSession(
-            backend=f"remote:{address}", cache=False, vectorize=True
-        ) as remote:
+        with PlannerSession(backend=f"remote:{address}", cache=False) as remote:
             actual = remote.plan_batch(requests)
-        with PlannerSession(cache=False, vectorize=False) as local:
-            expected = local.plan_batch(requests)
+        expected = [plan_request(req) for req in requests]
         assert_same_results(actual, expected)
         planned_by = [
             w for w in workers if w.metrics.payload()["endpoints"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import registry
+from repro.cluster.lifecycle import LocalCluster
 from repro.core.cache import MemoryPlanCache, plan_cache_key
 from repro.core.pipeline import PlanRequest, PlanResult, PlanSweep
 from repro.core.session import (
@@ -10,7 +11,10 @@ from repro.core.session import (
     default_session,
     reset_default_session,
 )
+from repro.experiments.figure4 import run_figure4
+from repro.experiments.rho import run_rho_experiment
 from repro.platform.star import StarPlatform
+from repro.service.server import PlanServer
 
 ALL_STRATEGIES = ("het", "hom", "hom/k")
 
@@ -39,23 +43,39 @@ class TestPlan:
                 )
             )
 
-    def test_default_params_merge_under_request(self, heterogeneous_platform):
-        with PlannerSession(imbalance_target=0.5) as session:
-            loose = session.plan(
-                PlanRequest(
-                    platform=heterogeneous_platform, N=1000.0, strategy="hom/k"
-                )
-            )
-            # the request's own params win over the session default
-            tight = session.plan(
-                PlanRequest(
-                    platform=heterogeneous_platform,
-                    N=1000.0,
-                    strategy="hom/k",
-                    params={"imbalance_target": 0.01},
-                )
-            )
-        assert loose.plan.detail["subdivision"] <= tight.plan.detail["subdivision"]
+
+class TestSettings:
+    """A session has two settings, ``backend`` and ``cache``; strategy
+    params travel on each request."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PlannerSession(vectorize=False),
+            lambda: PlannerSession(cache=False).plan_batch([], vectorize=False),
+            lambda: PlanServer(port=0, vectorize=False),
+            lambda: LocalCluster(n=1, vectorize=False),
+            lambda: run_figure4(
+                "uniform", processors=(4,), trials=1, vectorize=False
+            ),
+            lambda: run_rho_experiment(ks=(4,), p=4, vectorize=False),
+        ],
+        ids=[
+            "PlannerSession",
+            "plan_batch",
+            "PlanServer",
+            "LocalCluster",
+            "run_figure4",
+            "run_rho_experiment",
+        ],
+    )
+    def test_vectorize_keyword_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="vectorize"):
+            call()
+
+    def test_no_session_wide_params(self):
+        with pytest.raises(TypeError, match="imbalance_target"):
+            PlannerSession(imbalance_target=0.05)
 
 
 class TestPlanBatch:

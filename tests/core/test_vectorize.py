@@ -1,11 +1,10 @@
 """Equivalence suite for the vectorised batch-planning path.
 
 The contract (see :mod:`repro.core.vectorize`): for every built-in
-strategy and backend, ``plan_batch(..., vectorize=True)`` returns plans
-equal to the scalar path — bit-identical where the kernels share the
-scalar op order, and within ``rtol = 1e-12`` otherwise — and cache
-traffic is identical on both paths, so cached entries are
-interchangeable.
+strategy and backend, a session's ``plan_batch`` returns plans equal
+to ``[plan_request(r) for r in requests]`` — bit-identical where the
+kernels share the scalar op order, and within ``rtol = 1e-12``
+otherwise — so entries a batch stored serve single requests too.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from repro.core.vectorize import (
 )
 from repro.platform.generators import make_speeds
 from repro.platform.star import StarPlatform
+from repro.service.server import PlanServer
 
 RTOL = 1e-12  # the documented vectorisation tolerance
 
@@ -134,35 +134,21 @@ class TestStrategyKernels:
 
 
 class TestSessionEquivalence:
-    """The session-level acceptance: vectorize=True ≡ scalar path."""
+    """The session-level acceptance: plan_batch ≡ plan_request per request."""
 
     def test_figure4_sweep_batch(self):
         requests = figure4_batch()
-        with PlannerSession(cache=False, vectorize=False) as scalar:
-            scalar_results = scalar.plan_batch(requests)
-        with PlannerSession(cache=False, vectorize=True) as vectorised:
-            vector_results = vectorised.plan_batch(requests)
+        scalar_results = [plan_request(req) for req in requests]
+        with PlannerSession(cache=False) as session:
+            vector_results = session.plan_batch(requests)
         assert_results_equivalent(scalar_results, vector_results)
 
     def test_every_backend_matches_serial_scalar(self, backend_spec):
         requests = figure4_batch(trials=2, sizes=(8,))
-        with PlannerSession(cache=False, vectorize=False) as reference:
-            expected = reference.plan_batch(requests)
-        with PlannerSession(
-            backend=backend_spec, cache=False, vectorize=True
-        ) as session:
+        expected = [plan_request(req) for req in requests]
+        with PlannerSession(backend=backend_spec, cache=False) as session:
             got = session.plan_batch(requests)
         assert_results_equivalent(expected, got)
-
-    def test_per_call_override_wins(self, heterogeneous_platform):
-        requests = [
-            PlanRequest(platform=heterogeneous_platform, N=float(n), strategy="het")
-            for n in (100, 200, 300)
-        ]
-        with PlannerSession(cache=False, vectorize=True) as session:
-            on = session.plan_batch(requests)
-            off = session.plan_batch(requests, vectorize=False)
-        assert_results_equivalent(off, on)
 
     def test_mixed_params_group_separately(self, heterogeneous_platform):
         """Requests with different effective params never share a kernel."""
@@ -176,7 +162,7 @@ class TestSessionEquivalence:
             for n in (1000, 2000)
             for target in (0.01, 0.5)
         ]
-        with PlannerSession(cache=False, vectorize=True) as session:
+        with PlannerSession(cache=False) as session:
             results = session.plan_batch(requests)
         for req, res in zip(requests, results):
             scalar = plan_request(req)
@@ -187,36 +173,41 @@ class TestSessionEquivalence:
 
 
 class TestCacheInteraction:
-    """Cache traffic and contents are identical on both paths."""
+    """Cache traffic and contents do not depend on where misses plan."""
 
     def test_cache_stats_unchanged_between_paths(self, heterogeneous_platform):
+        """In process and on a plan server, the session's store sees
+        the same lookups, misses and entries."""
         requests = [
             PlanRequest(platform=heterogeneous_platform, N=float(n), strategy=s)
             for n in (100, 200, 300)
             for s in ("hom", "het")
         ] * 2  # in-batch repeats: lookups are up-front, so both copies miss
         stats = {}
-        for vectorize in (False, True):
-            with PlannerSession(vectorize=vectorize) as session:
-                session.plan_batch(requests)
-                session.plan_batch(requests)
-                stats[vectorize] = session.cache_stats()
-        assert stats[False] == stats[True]
-        assert stats[True].hits == 12 and stats[True].misses == 12
-        assert stats[True].entries == 6
+        with PlanServer(port=0, cache=False) as server:
+            for backend in ("serial", f"remote:{server.host}:{server.port}"):
+                with PlannerSession(backend) as session:
+                    session.plan_batch(requests)
+                    session.plan_batch(requests)
+                    stats[backend] = session.cache_stats()
+        local, remote = stats.values()
+        assert local == remote
+        assert local.hits == 12 and local.misses == 12
+        assert local.entries == 6
 
     def test_warm_entries_interchangeable(self, heterogeneous_platform):
+        """A store warmed by one batch serves single ``plan()`` calls."""
         requests = [
             PlanRequest(platform=heterogeneous_platform, N=float(n), strategy=s)
             for n in (100, 200)
             for s in ("hom", "het")
         ]
         shared = MemoryPlanCache()
-        with PlannerSession(cache=shared, vectorize=True) as warm:
+        with PlannerSession(cache=shared) as warm:
             planned = warm.plan_batch(requests)
             assert not any(r.cached for r in planned)
-        with PlannerSession(cache=shared, vectorize=False) as scalar:
-            served = scalar.plan_batch(requests)
+        with PlannerSession(cache=shared) as reader:
+            served = [reader.plan(req) for req in requests]
         assert all(r.cached for r in served)
         assert_results_equivalent(planned, served)
 
@@ -250,7 +241,7 @@ class TestGroupingAndFallback:
                 )
                 for n in (100, 200)
             ]
-            with PlannerSession(vectorize=True) as session:
+            with PlannerSession() as session:
                 results = session.plan_batch(requests)
             assert [r.plan.N for r in results] == [100.0, 200.0]
         finally:

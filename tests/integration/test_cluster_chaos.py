@@ -3,12 +3,14 @@
 The acceptance claim: a worker crashing *while its shard of a batch is
 in flight* is invisible to the client — the coordinator reroutes the
 dead replica's items to survivors and the completed sweep is
-bit-identical (rtol=1e-12) to an undisturbed serial run.
+bit-identical (rtol=1e-12) to planning each request alone in process.
 
-Workers run ``--no-vectorize`` so each shard costs real wall-clock
-(~1s of scalar het planning at p=512) and the SIGKILL provably lands
-mid-batch, not in a gap; planning purity is what makes the replayed
-items identical.
+The batch is ``hom/k`` on a fresh random p=16 platform per request, so
+each shard costs real wall-clock (~1 s per worker): the k-refinement
+re-plans ``hom`` with one demand-driven schedule per platform, which
+no batch kernel amortises, and the SIGKILL provably lands mid-batch,
+not in a gap.  Planning purity is what makes the replayed items
+identical.
 """
 
 import os
@@ -20,32 +22,39 @@ import numpy as np
 import pytest
 
 from repro.cluster.lifecycle import LocalCluster
-from repro.core.pipeline import PlanRequest
+from repro.core.pipeline import PlanRequest, plan_request
 from repro.core.session import PlannerSession
 from repro.obs import SpanRecorder, assemble_traces, read_spans, start_trace
 from repro.platform.star import StarPlatform
 from repro.service.client import ServiceClient
 
-#: big enough that each of 3 workers holds ~1.1s of scalar planning
-N_REQUESTS = 450
-P = 512
+#: big enough that each of 3 workers holds ~1 s of planning
+N_REQUESTS = 180
+P = 16
 KILL_AFTER_S = 0.5
 
 
-@pytest.fixture(scope="module")
-def heavy_requests():
-    rng = np.random.default_rng(20130521)
-    platform = StarPlatform.from_speeds(rng.uniform(1.0, 8.0, size=P))
+def fresh_platform_requests(count, seed):
+    """``hom/k`` requests, each on its own random p=16 platform."""
+    rng = np.random.default_rng(seed)
     return [
-        PlanRequest(platform=platform, N=50_000.0 + i, strategy="het")
-        for i in range(N_REQUESTS)
+        PlanRequest(
+            platform=StarPlatform.from_speeds(rng.uniform(1.0, 100.0, size=P)),
+            N=10_000.0 + i,
+            strategy="hom/k",
+        )
+        for i in range(count)
     ]
 
 
 @pytest.fixture(scope="module")
+def heavy_requests():
+    return fresh_platform_requests(N_REQUESTS, seed=20130521)
+
+
+@pytest.fixture(scope="module")
 def serial_results(heavy_requests):
-    with PlannerSession(cache=False, vectorize=False) as session:
-        return session.plan_batch(heavy_requests)
+    return [plan_request(req) for req in heavy_requests]
 
 
 def test_sigkill_mid_batch_yields_bit_identical_sweep(
@@ -55,7 +64,6 @@ def test_sigkill_mid_batch_yields_bit_identical_sweep(
     with LocalCluster(
         n=3,
         cache=None,
-        vectorize=False,  # workers plan scalars: shards take real time
         heartbeat_interval=0.25,
         state_path=state_path,
     ) as cluster:
@@ -106,43 +114,36 @@ def test_sigkill_mid_batch_yields_bit_identical_sweep(
 
 
 def test_rerouted_units_keep_their_trace_identity(tmp_path):
-    """A SIGKILL mid-batch shows up *inside* the request's own trace.
+    """A worker lost under a batch shows up *inside* the request's trace.
 
-    The sampled ``/plan_batch``'s assembled tree must contain the
-    failed dispatch hop (outcome ``unreachable``) *and* the reroute
-    that replayed the dead worker's shard on a survivor (a later-round
-    ``ok`` hop), all under the original trace id — a latency
-    investigation of the slow request explains itself.
+    Worker 0 is SIGKILLed before the batch is sent, and the pool (its
+    heartbeat 30 s away) still routes a shard to it, so that hop fails
+    on connect.  The sampled ``/plan_batch``'s assembled tree must
+    contain the failed dispatch hop (outcome ``unreachable``) *and* the
+    reroute that replayed the shard on the survivor (a later-round
+    ``ok`` hop), all under the original trace id and with no orphan
+    span — a latency investigation of the slow request explains
+    itself.  (A worker killed while it plans a shard may have written
+    child spans whose parent it never closes; ``trace.complete`` could
+    not hold for such a request.)
     """
-    rng = np.random.default_rng(20130522)
-    platform = StarPlatform.from_speeds(rng.uniform(1.0, 8.0, size=P))
-    requests = [
-        PlanRequest(platform=platform, N=30_000.0 + i, strategy="het")
-        for i in range(180)
-    ]
+    requests = fresh_platform_requests(80, seed=20130522)
     trace_path = str(tmp_path / "chaos-spans.jsonl")
     client_rec = SpanRecorder(service="client")
     ctx = start_trace()
     with LocalCluster(
         n=2,
         cache=None,
-        vectorize=False,  # scalar shards: the kill lands mid-flight
-        heartbeat_interval=0.25,
+        heartbeat_interval=30.0,
         state_path=str(tmp_path / "chaos-trace-cluster.json"),
         trace=trace_path,
     ) as cluster:
-
-        def assassin():
-            time.sleep(0.3)
-            cluster.kill_worker(0, signal.SIGKILL)
-
-        killer = threading.Thread(target=assassin, daemon=True)
-        killer.start()
+        cluster.kill_worker(0, signal.SIGKILL)
+        cluster.workers[0].proc.wait(timeout=10)
         client = ServiceClient(
             cluster.url, span_recorder=client_rec, timeout=60.0
         )
         results = client.plan_items(requests, trace=ctx)
-        killer.join()
         time.sleep(0.5)  # let coordinator + worker spans flush
 
         snapshot = cluster.coordinator.pool.snapshot()
@@ -188,7 +189,6 @@ def test_cluster_without_chaos_matches_serial(
     with LocalCluster(
         n=3,
         cache=None,
-        vectorize=False,
         heartbeat_interval=0.25,
         state_path=str(tmp_path / "calm-cluster.json"),
     ) as cluster:

@@ -17,17 +17,23 @@ from repro.platform.star import StarPlatform
 from repro.service.client import ServiceClient
 
 #: enough work per shard that dispatch + kernel time dominates the
-#: constant per-hop overhead the spans can't see (connect, GIL handoff)
+#: constant per-hop overhead the spans can't see (connect, GIL handoff):
+#: ``hom/k`` on a fresh random p=16 platform per request re-plans
+#: ``hom`` with one demand-driven schedule per platform, which no batch
+#: kernel amortises
 N_REQUESTS = 64
-P = 256
+P = 16
 
 
 @pytest.fixture(scope="module")
 def batch_requests():
     rng = np.random.default_rng(2013)
-    platform = StarPlatform.from_speeds(rng.uniform(1.0, 8.0, size=P))
     return [
-        PlanRequest(platform=platform, N=40_000.0 + i, strategy="het")
+        PlanRequest(
+            platform=StarPlatform.from_speeds(rng.uniform(1.0, 100.0, size=P)),
+            N=10_000.0 + i,
+            strategy="hom/k",
+        )
         for i in range(N_REQUESTS)
     ]
 
@@ -42,7 +48,6 @@ def traced_cluster_run(batch_requests, tmp_path_factory):
     with LocalCluster(
         n=2,
         cache=None,
-        vectorize=False,  # scalar planning: shards cost real time
         heartbeat_interval=30.0,
         state_path=None,
         trace=trace_path,

@@ -28,7 +28,7 @@ import pytest
 
 from repro import registry
 from repro.core.cache import cache_from_spec
-from repro.core.pipeline import PlanRequest, PlanResult
+from repro.core.pipeline import PlanRequest, PlanResult, plan_request
 from repro.core.session import PlannerSession
 from repro.core.vectorize import VectorGroup, plan_batch_requests
 from repro.experiments.figure4 import run_figure4
@@ -114,25 +114,21 @@ class TestRemoteBackend:
                 atol=1e-15,
             ), name
 
-    def test_plan_batch_equivalence_both_vectorize_modes(
-        self, server, platform
-    ):
+    def test_plan_batch_matches_plan_request(self, server, platform):
         requests = [
             PlanRequest(platform=platform, N=float(n), strategy=s)
             for n in (500, 1000, 2000)
             for s in ("hom", "het", "hom/k")
         ]
-        with PlannerSession(cache=False) as local:
-            expected = local.plan_batch(requests)
-        for vectorize in (True, False):
-            with PlannerSession(
-                backend=f"remote:{server.host}:{server.port}",
-                cache=False,
-                vectorize=vectorize,
-            ) as remote:
-                got = remote.plan_batch(requests)
-            for e, g in zip(expected, got):
-                assert np.isclose(e.comm_volume, g.comm_volume, rtol=1e-12)
+        expected = [plan_request(req) for req in requests]
+        with PlannerSession(
+            backend=f"remote:{server.host}:{server.port}", cache=False
+        ) as remote:
+            got = remote.plan_batch(requests)
+        assert len(got) == len(expected)
+        for e, g in zip(expected, got):
+            assert g.request == e.request
+            assert np.isclose(e.comm_volume, g.comm_volume, rtol=1e-12)
 
     def test_figure4_panel_matches_local(self, server):
         protocol = dict(processors=(4,), trials=3, seed=7, N=500.0)
@@ -165,7 +161,6 @@ class TestRemoteBackend:
             assert plan_batch_requests([], client) == []
         with PlannerSession(backend="remote:127.0.0.1:1") as session:
             assert session.plan_batch([]) == []
-            assert session.plan_batch([], vectorize=False) == []
 
     def test_server_plans_wire_batch_in_one_session_call(
         self, server, platform

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import socket
+import subprocess
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -181,12 +184,10 @@ class TestServeParser:
 
     def test_serve_accepts_session_options(self, capsys):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--cache", "memory:64",
-             "--no-vectorize"]
+            ["serve", "--port", "0", "--cache", "memory:64"]
         )
         assert args.port == 0
         assert args.cache == "memory:64"
-        assert args.vectorize is False
         for argv in (
             ["serve", "--jobs", "2"],
             ["serve", "--backend", "serial"],
@@ -197,6 +198,98 @@ class TestServeParser:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestVectorizeFlagGone:
+    """Batches always plan through the kernels: no command takes a
+    switch between two equal paths."""
+
+    @pytest.mark.parametrize("flag", ["--vectorize", "--no-vectorize"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure4"],
+            ["rho"],
+            ["plan", "--speeds", "1", "2"],
+            ["compare", "--speeds", "1", "2"],
+            ["cache-stats", "--speeds", "1", "2"],
+            ["serve"],
+            ["cluster", "up"],
+        ],
+        ids=lambda argv: argv[0] if argv[0] != "cluster" else "cluster-up",
+    )
+    def test_flag_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [flag])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+
+
+@pytest.fixture
+def busy_port():
+    """A localhost port another socket is listening on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen()
+        yield sock.getsockname()[1]
+
+
+class TestListenErrors:
+    """A host or port a server cannot listen on is a user error."""
+
+    @pytest.mark.parametrize(
+        "command", [["serve"], ["cluster", "up", "-n", "1"]],
+        ids=["serve", "cluster-up"],
+    )
+    @pytest.mark.parametrize(
+        "where", ["busy-port", "port-70000", "unresolvable-host"]
+    )
+    def test_one_error_line_exit_2(
+        self, command, where, busy_port, tmp_path, capsys, monkeypatch
+    ):
+        host, port = {
+            "busy-port": ("127.0.0.1", busy_port),
+            "port-70000": ("127.0.0.1", 70000),
+            "unresolvable-host": ("no-such-host.invalid", 0),
+        }[where]
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(real_popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        state = tmp_path / "cluster.json"
+        argv = command + ["--host", host, "--port", str(port)]
+        if command[0] == "cluster":
+            argv += ["--state", str(state)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot listen on {host}:{port}: ")
+        assert not state.exists()
+        assert all(proc.poll() is not None for proc in spawned)
+
+    def test_failed_cluster_up_keeps_another_clusters_state(
+        self, busy_port, tmp_path, capsys
+    ):
+        state = tmp_path / "cluster.json"
+        state.write_text(
+            '{"coordinator": {"url": "http://127.0.0.1:%d"}}' % busy_port
+        )
+        before = state.read_text()
+        rc = main(
+            ["cluster", "up", "-n", "1", "--port", str(busy_port),
+             "--state", str(state)]
+        )
+        assert rc == 2
+        assert "cannot listen on" in capsys.readouterr().err
+        assert state.read_text() == before
 
 
 class TestBackendSpecs:
