@@ -26,8 +26,10 @@ whole operability story end to end, from outside the process:
 5. ``/metrics`` aggregates: the coordinator observed every
    ``/plan_batch`` and the cluster-wide merge carries the workers'
    counts;
-6. ``repro cluster down`` stops everything: the ``up`` process exits,
-   the state file is gone, the worker pids are dead.
+6. no route stops the cluster: POST ``/cluster/shutdown`` is a 404 and
+   the pool still plans afterwards; ``repro cluster down`` stops
+   everything: the ``up`` process exits, the state file is gone, the
+   worker pids are dead.
 
 Exits non-zero on any failure; prints a BENCH-style JSON line so CI
 logs are grep-able.
@@ -181,6 +183,25 @@ def assert_group_relayed(url: str) -> None:
         )
 
 
+def assert_shutdown_refused(url: str) -> None:
+    """No route stops the cluster: the old shutdown route is a 404,
+    and the pool still plans afterwards."""
+    request = urllib.request.Request(f"{url}/cluster/shutdown", data=b"")
+    try:
+        urllib.request.urlopen(request, timeout=10)
+    except urllib.error.HTTPError as err:
+        assert err.code == 404, f"/cluster/shutdown answered {err.code}"
+    else:
+        raise SystemExit("/cluster/shutdown was answered")
+    platform = StarPlatform.from_speeds([1.0, 2.0])
+    body = wire.pack_v2(PlanRequest(platform=platform, N=10.0, strategy="het"))
+    answer = urllib.request.urlopen(
+        urllib.request.Request(f"{url}/plan", data=body), timeout=30
+    ).read()
+    result = wire.unpack_v2(answer, relayed=True)
+    assert result.plan is not None, "the pool stopped planning"
+
+
 def get_json(url: str) -> dict:
     return json.loads(urllib.request.urlopen(url, timeout=10).read())
 
@@ -299,7 +320,9 @@ def main() -> int:
             assert cluster_batches["count"] >= 3, metrics["cluster"]
             assert cluster_batches["errors"] == 0, metrics["cluster"]
 
-            # 6. down stops everything and cleans up
+            # 6. no route stops the cluster; down stops everything and
+            # cleans up
+            assert_shutdown_refused(url)
             down = subprocess.run(
                 [
                     sys.executable,

@@ -14,7 +14,7 @@ console script; ``python -m repro`` works too)::
     repro cluster up -n 3                             # scale-out pool
     repro cluster up -n 2 --log access.log            # + access lines
     repro cluster status         # pool liveness + request totals
-    repro cluster down           # stop workers + coordinator
+    repro cluster down           # SIGTERM the `up` process + workers
     repro loadtest localhost:8650 --rps 100 --duration 10
     repro serve --trace spans.jsonl                   # span recording
     repro cluster up -n 2 --trace spans.jsonl         # + PATH.wN per worker
@@ -475,6 +475,7 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
         default_state_path,
         read_state,
     )
+    from repro.service.client import PlanServiceError
 
     state_path = args.state or default_state_path()
     try:
@@ -490,7 +491,7 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
     try:
         status = cluster_status(url)
         metrics = cluster_metrics(url)
-    except OSError as exc:
+    except PlanServiceError as exc:
         print(f"error: coordinator at {url} unreachable ({exc}); "
               f"`repro cluster down` cleans up", file=sys.stderr)
         return 2
@@ -936,7 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     cl_status.add_argument("--state", type=str, default=None, metavar="PATH")
     cl_status.set_defaults(fn=_cmd_cluster_status)
     cl_down = cluster_sub.add_parser(
-        "down", help="stop the cluster recorded in the state file"
+        "down", help="stop the cluster recorded in the state file "
+        "(SIGTERM to its `cluster up` process and its workers)",
     )
     cl_down.add_argument("--state", type=str, default=None, metavar="PATH")
     cl_down.set_defaults(fn=_cmd_cluster_down)

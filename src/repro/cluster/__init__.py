@@ -20,7 +20,8 @@ pool of ordinary worker replicas:
   survives rerouting), and aggregates ``/metrics`` and ``/cache/stats``.
 * :mod:`repro.cluster.lifecycle` — :class:`LocalCluster` plus the
   ``repro cluster up|status|down`` CLI: N local replicas on ephemeral
-  ports behind one coordinator, for tests, benchmarks and demos.
+  ports behind one coordinator, for tests, benchmarks and demos;
+  ``down`` signals the ``up`` process, as no route stops a cluster.
 
 Clients need no changes: ``backend="remote:HOST:PORT"`` pointed at the
 coordinator plans exactly as against a single server, only faster and

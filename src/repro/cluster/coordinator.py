@@ -22,10 +22,10 @@ invisible to clients.
 (:class:`~repro.service.client.PlanServiceUnavailable` — the worker
 could not be reached at all) marks that worker dead immediately and
 the failed items are re-dispatched to the survivors, up to
-``max_reroutes`` rounds.  Planning is pure, so re-planning a rerouted
-item on another replica returns the identical result — the
-coordinator's answer after a mid-batch worker death is bit-identical
-to an undisturbed run.  An *answered* worker error (a 400/500 with a
+:attr:`ClusterCoordinator.MAX_REROUTES` rounds.  Planning is pure, so
+re-planning a rerouted item on another replica returns the identical
+result — the coordinator's answer after a mid-batch worker death is
+bit-identical to an undisturbed run.  An *answered* worker error (a 400/500 with a
 message) is relayed to the client unchanged: the worker is alive and
 retrying elsewhere would mask a real bug.
 
@@ -49,7 +49,9 @@ sqlite file (``--cache sqlite:PATH`` without ``{i}``).
 
 Worker membership is the :class:`~repro.cluster.pool.WorkerPool`, the
 workers the coordinator was constructed with.  Pull probes of each
-worker's ``/healthz`` are the only liveness signal.
+worker's ``/healthz`` are the only liveness signal.  No route stops the
+coordinator: the process that built it closes it (``repro cluster
+down`` signals that process).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.cluster.pool import WorkerPool
-from repro.core.pipeline import PlanRequest, PlanResult
+from repro.core.pipeline import PlanResult
 from repro.core.vectorize import VectorGroup
 from repro.service import wire
 from repro.service.client import (
@@ -106,20 +108,24 @@ class ClusterCoordinator(FrontDoor):
 
     ``workers`` is the pool, fixed for the coordinator's lifetime;
     ``max_inflight`` bounds concurrent planning requests cluster-wide
-    (429 + Retry-After beyond it); ``heartbeat_interval`` /
-    ``max_missed`` tune the pull-heartbeat monitor; ``max_reroutes``
-    bounds how many times a failed sub-batch is re-dispatched before
-    the client sees a 503.
+    (429 + Retry-After beyond it); ``heartbeat_interval`` is the
+    pull-heartbeat monitor's probe period.  A failed sub-batch is
+    re-dispatched at most :attr:`MAX_REROUTES` times before the client
+    sees a 503.
 
     The HTTP protocol is the shared
     :class:`~repro.service.frontdoor.FrontDoor`'s; this class supplies
-    the operations, the control-plane routes and the 503/502 error
-    mappings.  Use as a context manager or call :meth:`close`;
+    the operations, the ``/cluster/status`` route and the 503/502
+    error mappings.  Use as a context manager or call :meth:`close`;
     :meth:`start` runs the accept loop and the heartbeat monitor on
     daemon threads.
     """
 
     role = "coordinator"
+    #: dispatch rounds after the first before unplaced items are a 503
+    MAX_REROUTES = 3
+    #: per-attempt timeout of a shipped sub-batch
+    WORKER_TIMEOUT_S = 60.0
 
     def __init__(
         self,
@@ -128,26 +134,17 @@ class ClusterCoordinator(FrontDoor):
         *,
         workers: Sequence[str] = (),
         max_inflight: int | None = None,
-        retry_after: float = 0.5,
         heartbeat_interval: float = 1.0,
-        max_missed: int = 2,
-        max_reroutes: int = 3,
-        worker_timeout: float = 60.0,
         access_log: AccessLog | None = None,
         span_recorder: obs.SpanRecorder | None = None,
     ) -> None:
         super().__init__(
             max_inflight=max_inflight,
-            retry_after=retry_after,
             access_log=access_log,
             span_recorder=span_recorder,
         )
-        if max_reroutes < 0:
-            raise ValueError(f"max_reroutes must be >= 0, got {max_reroutes}")
-        self.pool = WorkerPool(max_missed=max_missed)
+        self.pool = WorkerPool()
         self.heartbeat_interval = float(heartbeat_interval)
-        self.max_reroutes = int(max_reroutes)
-        self.worker_timeout = float(worker_timeout)
         self._clients: Dict[str, ServiceClient] = {}
         self._clients_lock = threading.Lock()
         for url in workers:
@@ -160,14 +157,11 @@ class ClusterCoordinator(FrontDoor):
         return {
             **super().route_table(),
             "/cluster/status": Route("GET", self.status_payload),
-            "/cluster/shutdown": Route(
-                "POST", self._shutdown_route, wire=False
-            ),
         }
 
     def error_reply(self, exc: Exception) -> ErrorReply | None:
         if isinstance(exc, NoWorkersError):
-            retry_after = self.admission.retry_after
+            retry_after = self.admission.RETRY_AFTER_S
             return (
                 503,
                 {"error": str(exc), "retry_after": retry_after},
@@ -178,12 +172,6 @@ class ClusterCoordinator(FrontDoor):
             code = exc.code if exc.code and 400 <= exc.code < 600 else 502
             return code, {"error": f"worker error: {exc}"}, {}
         return None
-
-    def _shutdown_route(self) -> dict:
-        # close() runs on its own thread and first waits for the accept
-        # loop to stop, so this acknowledgement still goes out
-        self.request_shutdown()
-        return {"stopping": True}
 
     # -- worker clients ---------------------------------------------------
 
@@ -200,7 +188,7 @@ class ClusterCoordinator(FrontDoor):
             if client is None:
                 client = self._clients[url] = ServiceClient(
                     url,
-                    timeout=self.worker_timeout,
+                    timeout=self.WORKER_TIMEOUT_S,
                     retries=1,
                     retry_wait=0.1,
                 )
@@ -246,9 +234,6 @@ class ClusterCoordinator(FrontDoor):
                 units.append(_Unit(item))
         return units
 
-    def plan(self, request: PlanRequest) -> wire.Relayed:
-        return self.plan_items([request])[0]
-
     def plan_items(self, items: Sequence[Any]) -> List[Any]:
         """Plan a ``/plan_batch`` item list across the worker pool.
 
@@ -270,7 +255,7 @@ class ClusterCoordinator(FrontDoor):
         # root span as parent — reroute rounds included, which is what
         # keeps a dead worker's resent units on the original trace id
         active = obs.current()
-        for round_no in range(self.max_reroutes + 1):
+        for round_no in range(self.MAX_REROUTES + 1):
             if not pending:
                 break
             alive = self.pool.alive()
@@ -366,7 +351,7 @@ class ClusterCoordinator(FrontDoor):
         if pending:
             raise NoWorkersError(
                 f"{len(pending)} batch item(s) still unplaced after "
-                f"{self.max_reroutes + 1} dispatch round(s); "
+                f"{self.MAX_REROUTES + 1} dispatch round(s); "
                 "workers keep dying faster than they rejoin"
             )
         # reassemble: a sharded group joins its shards in offset order
@@ -455,12 +440,12 @@ class ClusterCoordinator(FrontDoor):
         return {
             "role": "coordinator",
             "url": self.url,
-            "max_reroutes": self.max_reroutes,
+            "max_reroutes": self.MAX_REROUTES,
             "heartbeat_interval": self.heartbeat_interval,
             "admission": {
                 "limit": self.admission.limit,
                 "inflight": self.admission.inflight,
-                "retry_after": self.admission.retry_after,
+                "retry_after": self.admission.RETRY_AFTER_S,
             },
             "pool": self.pool.snapshot(),
         }
@@ -504,10 +489,6 @@ class ClusterCoordinator(FrontDoor):
         """Block until the accept loop stops (the CLI's foreground wait)."""
         if self._thread is not None:
             self._thread.join(timeout)
-
-    def request_shutdown(self) -> None:
-        """Stop serving soon, from a handler thread (``/cluster/shutdown``)."""
-        threading.Thread(target=self.close, daemon=True).start()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         snapshot = self.pool.snapshot()

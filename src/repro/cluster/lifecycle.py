@@ -17,6 +17,9 @@ A JSON *state file* (``--state``, default ``~/.repro-cluster.json``)
 records the coordinator URL and every PID, which is what lets
 ``repro cluster status`` and ``repro cluster down`` find a cluster
 started by an earlier ``repro cluster up`` in another terminal.
+No route stops a cluster: ``repro cluster down`` signals the process
+that wrote the file, and a program embedding :class:`LocalCluster`
+calls :meth:`~LocalCluster.close`.
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.obs import SpanRecorder
+from repro.service.client import PlanServiceError, ServiceClient
 
 #: what `repro serve` prints once its socket is bound
 _BANNER_RE = re.compile(r"repro plan server listening on (http://\S+)")
+#: how long a spawned worker may take to print its banner
+_STARTUP_TIMEOUT_S = 30.0
 
 
 def default_state_path() -> str:
@@ -72,6 +77,13 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:  # pragma: no cover - foreign pid, still alive
         return True
     return True
+
+
+def _signal(pid: int, sig: int) -> None:
+    try:
+        os.kill(pid, sig)
+    except ProcessLookupError:
+        pass
 
 
 class _Worker:
@@ -157,13 +169,9 @@ class LocalCluster:
         max_inflight: int | None = None,
         worker_max_inflight: int | None = None,
         heartbeat_interval: float = 0.5,
-        max_missed: int = 2,
-        max_reroutes: int = 3,
         state_path: str | None = None,
-        startup_timeout: float = 30.0,
         access_log: Any = None,
         trace: str | None = None,
-        span_recorder: SpanRecorder | None = None,
     ) -> None:
         if n < 1:
             raise ValueError(f"a cluster needs >= 1 worker, got {n}")
@@ -174,19 +182,13 @@ class LocalCluster:
         self.max_inflight = max_inflight
         self.worker_max_inflight = worker_max_inflight
         self.heartbeat_interval = float(heartbeat_interval)
-        self.max_missed = int(max_missed)
-        self.max_reroutes = int(max_reroutes)
         self.state_path = state_path
-        self.startup_timeout = float(startup_timeout)
         #: optional AccessLog the coordinator writes front-door lines to
         self.access_log = access_log
         #: span-file base path: the coordinator appends JSONL here and
         #: worker i gets ``--trace <trace>.w<i>``, so one ``repro trace
         #: <trace>*`` glob assembles whole cluster-crossing traces
         self.trace = trace
-        #: in-process recorder for the coordinator (tests; wins over a
-        #: file recorder derived from ``trace``)
-        self.span_recorder = span_recorder
         self.workers: List[_Worker] = []
         self.coordinator: Optional[ClusterCoordinator] = None
         #: set once start() wrote the state file: a failed start must
@@ -233,11 +235,9 @@ class LocalCluster:
             return self
         env = self._spawn_env()
         try:
-            recorder = self.span_recorder
-            if recorder is None and self.trace:
-                recorder = SpanRecorder.open(
-                    self.trace, service="coordinator"
-                )
+            recorder = None
+            if self.trace:
+                recorder = SpanRecorder.open(self.trace, service="coordinator")
             # bound before any worker spawns: a host or port the
             # coordinator cannot listen on fails with nothing to reap
             self.coordinator = ClusterCoordinator(
@@ -245,8 +245,6 @@ class LocalCluster:
                 port=self.port,
                 max_inflight=self.max_inflight,
                 heartbeat_interval=self.heartbeat_interval,
-                max_missed=self.max_missed,
-                max_reroutes=self.max_reroutes,
                 access_log=self.access_log,
                 span_recorder=recorder,
             )
@@ -260,7 +258,7 @@ class LocalCluster:
                 self.workers.append(_Worker(index, proc))
             for worker in self.workers:
                 self.coordinator.pool.register(
-                    worker.wait_ready(self.startup_timeout)
+                    worker.wait_ready(_STARTUP_TIMEOUT_S)
                 )
             self.coordinator.start()
         except Exception:
@@ -297,12 +295,8 @@ class LocalCluster:
 
     def kill_worker(self, index: int, sig: int = signal.SIGKILL) -> int:
         """Kill one replica (default SIGKILL — no goodbye, like a crash)."""
-        worker = self.workers[index]
-        pid = worker.pid
-        try:
-            os.kill(pid, sig)
-        except ProcessLookupError:
-            pass
+        pid = self.workers[index].pid
+        _signal(pid, sig)
         return pid
 
     # -- teardown ---------------------------------------------------------
@@ -338,59 +332,51 @@ class LocalCluster:
 # -- talking to an already-running cluster (status / down) ----------------
 
 
-def _get_json(url: str, timeout: float = 5.0) -> dict:
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
-
-
-def _post_json(url: str, timeout: float = 5.0) -> dict:
-    request = urllib.request.Request(url, data=b"", method="POST")
-    with urllib.request.urlopen(request, timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
-
-
 def cluster_status(coordinator_url: str, timeout: float = 5.0) -> dict:
     """GET ``/cluster/status`` from a running coordinator."""
-    return _get_json(f"{coordinator_url.rstrip('/')}/cluster/status", timeout)
+    with ServiceClient(coordinator_url, timeout=timeout, retries=0) as client:
+        return client.get_json("/cluster/status")
 
 
 def cluster_metrics(coordinator_url: str, timeout: float = 5.0) -> dict:
     """GET the aggregated ``/metrics`` from a running coordinator."""
-    return _get_json(f"{coordinator_url.rstrip('/')}/metrics", timeout)
+    with ServiceClient(coordinator_url, timeout=timeout, retries=0) as client:
+        return client.get_json("/metrics")
+
+
+def _answers_as_coordinator(url: str) -> bool:
+    """Whether ``url`` is a live coordinator (``/healthz`` says so)."""
+    try:
+        with ServiceClient(url, timeout=5.0, retries=0) as client:
+            return client.healthz().get("role") == "coordinator"
+    except (PlanServiceError, ValueError):
+        return False
 
 
 def shutdown_cluster(
     state: Dict[str, Any], *, timeout: float = 10.0
 ) -> List[int]:
-    """Stop the cluster a state file describes; return PIDs killed.
+    """Stop the cluster a state file describes; return its worker PIDs.
 
-    Asks the coordinator to stop via ``/cluster/shutdown`` (best
-    effort — it may already be gone), then escalates SIGTERM → SIGKILL
-    on any worker PID still alive.  Safe to call twice.
+    SIGTERM goes to the ``repro cluster up`` process that wrote the
+    file (its Ctrl-C path reaps the workers and removes the file), but
+    only if the recorded URL still answers ``/healthz`` as a
+    coordinator: a stale file's PID may now be another process's.
+    Every worker gets SIGTERM at once and SIGKILL if still alive after
+    ``timeout`` seconds.  Only the workers are waited on: ``up`` may be
+    a zombie of its caller, which ``kill(pid, 0)`` takes for alive.
+    Safe to call twice.
     """
     coordinator = state.get("coordinator", {})
-    url = coordinator.get("url")
-    if url:
-        try:
-            _post_json(f"{str(url).rstrip('/')}/cluster/shutdown")
-        except Exception:
-            pass  # already down, or unreachable — the kills below decide
+    if _answers_as_coordinator(str(coordinator.get("url", ""))):
+        _signal(int(coordinator["pid"]), signal.SIGTERM)
     pids = [int(w["pid"]) for w in state.get("workers", ())]
     for pid in pids:
-        if _pid_alive(pid):
-            try:
-                os.kill(pid, signal.SIGTERM)
-            except ProcessLookupError:
-                pass
+        _signal(pid, signal.SIGTERM)
     deadline = time.monotonic() + timeout
-    killed: List[int] = []
     for pid in pids:
         while _pid_alive(pid) and time.monotonic() < deadline:
             time.sleep(0.05)
         if _pid_alive(pid):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        killed.append(pid)
-    return killed
+            _signal(pid, signal.SIGKILL)
+    return pids

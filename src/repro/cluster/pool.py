@@ -5,9 +5,9 @@ about its replicas: which exist, which are alive, and how loaded each
 one is.  Membership is static: the workers the coordinator was
 constructed with, registered once at start-up.  Liveness is pulled: a
 monitor thread probes every worker's ``/healthz`` each ``interval``
-seconds; :attr:`max_missed` consecutive failures mark it dead, one
-success revives it (a restarted replica rejoins with no operator
-action).
+seconds; :attr:`WorkerPool.MAX_MISSED` (2) consecutive failures mark
+it dead, one success revives it (a restarted replica rejoins with no
+operator action).
 
 Death is advisory, not terminal: a dead worker stays in the pool,
 keeps being probed, and is simply excluded from dispatch until it
@@ -88,10 +88,10 @@ class _Monitor:
 class WorkerPool:
     """Thread-safe registry of worker replicas with heartbeat liveness."""
 
-    def __init__(self, *, max_missed: int = 2) -> None:
-        if max_missed < 1:
-            raise ValueError(f"max_missed must be >= 1, got {max_missed}")
-        self.max_missed = int(max_missed)
+    #: consecutive failed probes that mark a worker dead
+    MAX_MISSED = 2
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._workers: Dict[str, WorkerInfo] = {}
         self._next_id = 1
@@ -100,7 +100,7 @@ class WorkerPool:
     # -- membership ------------------------------------------------------
 
     def register(self, url: str) -> WorkerInfo:
-        """Add a worker (idempotent by URL; re-registering revives it)."""
+        """Add a worker (idempotent by URL)."""
         url = normalize_worker_url(url)
         if not url.startswith(("http://", "https://")):
             raise ValueError(f"worker url must be http(s)://..., got {url!r}")
@@ -116,11 +116,6 @@ class WorkerPool:
                 )
                 self._next_id += 1
                 self._workers[url] = info
-            else:
-                info.alive = True
-                info.missed = 0
-                info.reason = ""
-                info.last_seen = now
             return info
 
     def mark_dead(self, url: str, reason: str = "") -> None:
@@ -170,7 +165,7 @@ class WorkerPool:
             "workers": workers,
             "alive": sum(1 for w in workers if w["alive"]),
             "total": len(workers),
-            "max_missed": self.max_missed,
+            "max_missed": self.MAX_MISSED,
         }
 
     # -- heartbeat monitor -----------------------------------------------
@@ -183,7 +178,7 @@ class WorkerPool:
         ``probe(url)`` returns truthy when the worker answered its
         health check; it runs *outside* the pool lock, so a hung worker
         only delays the monitor, never request handling.  A worker
-        failing :attr:`max_missed` consecutive probes is marked dead;
+        failing :attr:`MAX_MISSED` consecutive probes is marked dead;
         any success revives it immediately.
         """
         if self._monitor is not None:
@@ -222,7 +217,7 @@ class WorkerPool:
                         info.last_seen = time.time()
                     else:
                         info.missed += 1
-                        if info.missed >= self.max_missed and info.alive:
+                        if info.missed >= self.MAX_MISSED and info.alive:
                             info.alive = False
                             info.reason = (
                                 f"{info.missed} consecutive missed heartbeats"

@@ -178,6 +178,13 @@ class PlannerSession:
         kernel are planned one by one
         (:func:`~repro.core.vectorize.plan_batch_requests`).
         """
+        return self._plan_batch(requests)[0]
+
+    def _plan_batch(
+        self, requests: Sequence[PlanRequest]
+    ) -> tuple[List[PlanResult], int | None]:
+        """:meth:`plan_batch`, and how many of this call's own cache
+        lookups missed (``None`` with caching off)."""
         results: List[PlanResult | None] = [None] * len(requests)
         misses: List[tuple[int, Any, PlanRequest]] = []
         # obs.span is a no-op unless the calling thread carries an
@@ -216,7 +223,8 @@ class PlannerSession:
                 if self._cache is not None:
                     self._cache.put(key, result)
                 results[i] = result
-        return results  # type: ignore[return-value]
+        n_misses = None if self._cache is None else len(misses)
+        return results, n_misses  # type: ignore[return-value]
 
     def sweep(
         self,
@@ -231,29 +239,24 @@ class PlannerSession:
         wherever misses are planned, each strategy's plan is independent of the
         others, and planning itself is pure — so serial and remote
         sweeps render identical tables.  The sweep
-        records how its requests fared against the plan cache.
+        records how its own requests fared against the plan cache;
+        lookups other sessions make on a shared store do not count.
         """
         names = (
             tuple(sorted(strategies))
             if strategies is not None
             else registry.available("strategy")
         )
-        before = self._cache.stats if self._cache is not None else None
-        results = self.plan_batch(
+        results, misses = self._plan_batch(
             [
                 PlanRequest(platform=platform, N=N, strategy=name, params=params)
                 for name in names
             ]
         )
-        hits = misses = None
-        if self._cache is not None and before is not None:
-            after = self._cache.stats
-            hits = after.hits - before.hits
-            misses = after.misses - before.misses
         return PlanSweep(
             N=float(N),
             results=dict(zip(names, results)),
-            cache_hits=hits,
+            cache_hits=None if misses is None else len(names) - misses,
             cache_misses=misses,
         )
 

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.obs import Span
+from repro.obs import Span, quantile
 from repro.service.metrics import (
     LATENCY_BUCKETS_S,
     _quantile_s,
@@ -199,10 +199,7 @@ class LoadtestReport:
         durations = sorted(span.duration_s for span in self.client_spans)
 
         def _q(q: float) -> float:
-            if not durations:
-                return 0.0
-            rank = min(len(durations) - 1, int(q * len(durations)))
-            return round(1000.0 * durations[rank], 3)
+            return round(1000.0 * quantile(durations, q), 3)
 
         slowest = sorted(
             self.client_spans, key=lambda s: s.duration_s, reverse=True

@@ -35,6 +35,7 @@ from repro.obs.assemble import (
     StageStats,
     Trace,
     assemble_traces,
+    quantile,
     read_spans,
     render_trace,
     stage_stats,
@@ -61,6 +62,7 @@ __all__ = [
     "StageStats",
     "read_spans",
     "assemble_traces",
+    "quantile",
     "stage_stats",
     "render_trace",
 ]

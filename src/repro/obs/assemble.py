@@ -187,7 +187,7 @@ def assemble_traces(spans: Iterable[Span]) -> List[Trace]:
     return traces
 
 
-def _quantile(sorted_values: Sequence[float], q: float) -> float:
+def quantile(sorted_values: Sequence[float], q: float) -> float:
     """Upper-bound quantile: smallest observed value ≥ q of the mass."""
     if not sorted_values:
         return 0.0
@@ -227,8 +227,8 @@ def stage_stats(traces: Iterable[Trace]) -> List[StageStats]:
                 name=name,
                 count=len(durations),
                 total_s=sum(durations),
-                p50_s=_quantile(durations, 0.50),
-                p99_s=_quantile(durations, 0.99),
+                p50_s=quantile(durations, 0.50),
+                p99_s=quantile(durations, 0.99),
                 max_s=durations[-1],
             )
         )

@@ -12,10 +12,11 @@ server supplies three things:
   path → :class:`Route`.  Its keys are also the endpoint names
   ``/metrics`` reports; any other path counts as ``other``, so probing
   clients cannot grow the metric cardinality;
-* the operations those routes call: ``plan``, ``plan_items``,
-  ``cache_get``, ``cache_stats``, ``health_payload`` and
-  :meth:`FrontDoor.metrics_payload`.  No route writes a store: a
-  server's store holds only what its own planning put there;
+* the operations those routes call: ``plan_items`` (``/plan`` is
+  ``plan_items([request])[0]``), ``cache_get``, ``cache_stats``,
+  ``health_payload`` and :meth:`FrontDoor.metrics_payload`.  No route
+  writes a store: a server's store holds only what its own planning
+  put there, and no route stops a server: its process owner does;
 * optionally, extra error mappings (:meth:`FrontDoor.error_reply`).
 
 What the handler guarantees for every route:
@@ -25,10 +26,10 @@ What the handler guarantees for every route:
   site) before its first byte hits the wire, so a client holding its
   answer can already see the request in ``/metrics``; the loadtest
   cross-check reconciles client and server counts on that;
-* **one wire format** — every envelope route decodes its body as
-  binary-v2 (:mod:`repro.service.wire`) and answers in it; a body that
-  is not a binary-v2 envelope, a pickle included, is a 400 before any
-  byte of it is decoded;
+* **one wire format** — every POST route takes a binary-v2 envelope
+  (:mod:`repro.service.wire`) and answers in it; a body that is not a
+  binary-v2 envelope, a pickle included, is a 400 before any byte of
+  it is decoded;
 * **tracing** — a sampled ``X-Repro-Trace`` context opens a
   ``"{role} {endpoint}"`` root span around the route, with
   ``wire_decode`` / ``wire_encode`` spans at the envelope seams;
@@ -75,9 +76,8 @@ class Route(NamedTuple):
     request envelope (``"envelope"``).  ``reply`` is how its return
     value goes back: as JSON, as a binary-v2 envelope, or as the
     ``/metrics`` payload (JSON or Prometheus, by ``?format=``).
-    ``gated`` routes pass the admission gate first.  A POST route with
-    ``wire`` set speaks the plan wire and runs under the root span;
-    control-plane routes clear it.
+    ``gated`` routes pass the admission gate first.  Every POST route
+    speaks the plan wire and runs under the root span.
     """
 
     verb: str
@@ -85,7 +85,6 @@ class Route(NamedTuple):
     takes: str = ""
     reply: str = "json"
     gated: bool = False
-    wire: bool = True
 
 
 class FrontDoorHandler(BaseHTTPRequestHandler):
@@ -155,7 +154,7 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
         )
         try:
             body = self._body()
-            if verb == "GET" or (route is not None and not route.wire):
+            if verb == "GET":
                 self._call(route, body)
                 return
             with obs.serving(
@@ -192,11 +191,11 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
                     "error": (
                         f"{self.door.role} over capacity ({gate.limit} "
                         f"planning request(s) in flight); retry after "
-                        f"{gate.retry_after}s"
+                        f"{gate.RETRY_AFTER_S}s"
                     ),
-                    "retry_after": gate.retry_after,
+                    "retry_after": gate.RETRY_AFTER_S,
                 },
-                {"Retry-After": f"{gate.retry_after:g}"},
+                {"Retry-After": f"{gate.RETRY_AFTER_S:g}"},
             )
             return
         try:
@@ -327,12 +326,13 @@ class _HTTPServer(ThreadingHTTPServer):
 class FrontDoor:
     """Server state and lifecycle shared by every plan service.
 
-    Subclasses set up their own state, call ``super().__init__`` and
-    finish with :meth:`_listen` (which builds the route table and binds
-    the socket, so a failing constructor never leaks a listener).
-    ``max_inflight`` / ``retry_after`` configure the admission gate on
-    the gated routes; ``access_log`` and ``span_recorder`` receive
-    every response and every sampled span.
+    Subclasses call ``super().__init__`` and :meth:`_listen` (which
+    builds the route table and binds the socket) before they open
+    anything :meth:`_on_close` releases, and close the socket if that
+    then fails: a constructor that raises leaves nothing open.
+    ``max_inflight`` bounds the admission gate on the gated routes;
+    ``access_log`` and ``span_recorder`` receive every response and
+    every sampled span.
 
     Use as a context manager or call :meth:`close`; :meth:`start` runs
     the accept loop on a daemon thread (tests, embedding),
@@ -346,7 +346,6 @@ class FrontDoor:
         self,
         *,
         max_inflight: int | None,
-        retry_after: float,
         access_log: AccessLog | None,
         span_recorder: obs.SpanRecorder | None,
     ) -> None:
@@ -357,7 +356,7 @@ class FrontDoor:
         #: means tracing is off and a request pays one attribute read
         self.span_recorder = span_recorder
         #: queue-depth limit on the gated routes (None = unbounded)
-        self.admission = AdmissionGate(max_inflight, retry_after)
+        self.admission = AdmissionGate(max_inflight)
         #: open connection -> whether a request on it is being handled
         self._connections: Dict[socket.socket, bool] = {}
         self._connections_lock = threading.Lock()
@@ -419,7 +418,7 @@ class FrontDoor:
             raise wire.WireError(
                 f"/plan expects a PlanRequest, got {type(request).__name__}"
             )
-        return self.plan(request)
+        return self.plan_items([request])[0]
 
     def _plan_batch_route(self, items: Any) -> Any:
         if not isinstance(items, (list, tuple)):

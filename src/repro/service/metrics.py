@@ -439,7 +439,7 @@ class AdmissionGate:
     The planning endpoints wrap their handling in::
 
         if not gate.try_acquire():
-            reply 429, Retry-After: gate.retry_after
+            reply 429, Retry-After: gate.RETRY_AFTER_S
         try: ... finally: gate.release()
 
     so at most ``limit`` requests plan concurrently and the excess is
@@ -448,13 +448,13 @@ class AdmissionGate:
     honours the hint).  ``limit=None`` admits everything.
     """
 
-    def __init__(self, limit: int | None, retry_after: float = 0.5) -> None:
+    #: seconds a refused client is told to wait (``Retry-After``)
+    RETRY_AFTER_S = 0.5
+
+    def __init__(self, limit: int | None) -> None:
         if limit is not None and limit < 0:
             raise ValueError(f"max_inflight must be >= 0, got {limit}")
-        if retry_after <= 0:
-            raise ValueError(f"retry_after must be > 0, got {retry_after}")
         self.limit = limit
-        self.retry_after = float(retry_after)
         self._lock = threading.Lock()
         self._inflight = 0
 

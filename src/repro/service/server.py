@@ -100,22 +100,27 @@ class PlanServer(FrontDoor):
         *,
         cache: "bool | str | PlanStore" = True,
         max_inflight: int | None = None,
-        retry_after: float = 0.5,
         access_log: AccessLog | None = None,
         span_recorder: obs.SpanRecorder | None = None,
     ) -> None:
         super().__init__(
             max_inflight=max_inflight,
-            retry_after=retry_after,
             access_log=access_log,
             span_recorder=span_recorder,
         )
-        if cache is True:
-            store: PlanStore | None = MemoryPlanCache()
-        elif cache is False or cache is None:
-            store = None
-        else:
-            store = cache_from_spec(cache)
+        # bound before the store opens: a port it cannot listen on
+        # leaves no store file behind and no connection open
+        self._listen(host, port)
+        try:
+            if cache is True:
+                store: PlanStore | None = MemoryPlanCache()
+            elif cache is False or cache is None:
+                store = None
+            else:
+                store = cache_from_spec(cache)
+        except Exception:
+            self._http.server_close()
+            raise
         # handler threads all drive one session; the store is the only
         # mutable state they share, so serialise it and nothing else
         self._store = ThreadSafePlanStore(store) if store is not None else None
@@ -125,7 +130,6 @@ class PlanServer(FrontDoor):
         self.cache_spec = cache if isinstance(cache, str) else (
             "off" if store is None else type(store).__name__
         )
-        self._listen(host, port)
 
     # -- operations the routes call ----------------------------------------
 
@@ -137,9 +141,6 @@ class PlanServer(FrontDoor):
                 "/cache endpoints are unavailable"
             )
         return self._store
-
-    def plan(self, request: PlanRequest) -> PlanResult:
-        return self.session.plan(request)
 
     def plan_items(
         self, items: Sequence["PlanRequest | VectorGroup"]

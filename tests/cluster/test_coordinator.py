@@ -24,12 +24,15 @@ import numpy as np
 import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator, NoWorkersError
+from repro.cluster.lifecycle import LocalCluster
+from repro.cluster.pool import WorkerPool
 from repro.core.pipeline import PlanRequest, plan_request
 from repro.core.session import PlannerSession
 from repro.core.vectorize import VectorGroup
 from repro.platform.star import StarPlatform
 from repro.service import wire
 from repro.service.client import PlanServiceError, ServiceClient
+from repro.service.metrics import AdmissionGate
 from repro.service.server import PlanServer
 
 
@@ -52,7 +55,6 @@ def coordinator(workers):
         port=0,
         workers=[w.url for w in workers],
         heartbeat_interval=0.2,
-        max_missed=2,
     )
     with coord:
         yield coord
@@ -357,7 +359,6 @@ class TestAdmissionAndErrors:
             port=0,
             workers=[w.url for w in workers],
             max_inflight=0,
-            retry_after=0.25,
             heartbeat_interval=5.0,
         )
         with coord:
@@ -375,7 +376,6 @@ class TestAdmissionAndErrors:
             port=0,
             workers=[w.url for w in workers],
             max_inflight=0,
-            retry_after=0.25,
             heartbeat_interval=5.0,
         )
         with coord:
@@ -388,7 +388,7 @@ class TestAdmissionAndErrors:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request, timeout=5)
             assert err.value.code == 429
-            assert err.value.headers.get("Retry-After") == "0.25"
+            assert err.value.headers.get("Retry-After") == "0.5"
 
     def test_worker_protocol_error_relayed_not_retried(
         self, coordinator, platform
@@ -530,9 +530,32 @@ class TestNoContentKeying:
 
 
 class TestValidation:
-    def test_negative_reroutes(self):
-        with pytest.raises(ValueError):
-            ClusterCoordinator(max_reroutes=-1)
+    @pytest.mark.parametrize(
+        "owner, keyword",
+        [
+            ("PlanServer", "retry_after"),
+            ("ClusterCoordinator", "retry_after"),
+            ("ClusterCoordinator", "max_missed"),
+            ("ClusterCoordinator", "max_reroutes"),
+            ("ClusterCoordinator", "worker_timeout"),
+            ("LocalCluster", "max_missed"),
+            ("LocalCluster", "max_reroutes"),
+            ("LocalCluster", "startup_timeout"),
+            ("LocalCluster", "span_recorder"),
+            ("WorkerPool", "max_missed"),
+            ("AdmissionGate", "retry_after"),
+        ],
+    )
+    def test_removed_settings_are_type_errors(self, owner, keyword):
+        build = {
+            "PlanServer": PlanServer,
+            "ClusterCoordinator": ClusterCoordinator,
+            "LocalCluster": LocalCluster,
+            "WorkerPool": WorkerPool,
+            "AdmissionGate": lambda **kw: AdmissionGate(None, **kw),
+        }[owner]
+        with pytest.raises(TypeError):
+            build(**{keyword: 1})
 
     def test_no_workers_at_all(self, platform):
         with ClusterCoordinator(port=0, heartbeat_interval=5.0) as coord:

@@ -3,9 +3,12 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.cluster.lifecycle import (
 from repro.core.pipeline import PlanRequest
 from repro.core.session import PlannerSession
 from repro.platform.star import StarPlatform
+from repro.service.client import ServiceClient
 
 
 class TestWorkerCommand:
@@ -157,12 +161,26 @@ class TestLocalCluster:
         assert main(["cluster", "status", "--state", missing]) == 2
         assert f"no cluster state at {missing}" in capsys.readouterr().err
 
+    def test_cluster_status_of_an_unreachable_coordinator_exits_2(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        state_path = str(tmp_path / "stale.json")
+        write_state(state_path, {"coordinator": {"url": url, "pid": 0}})
+        assert main(["cluster", "status", "--state", state_path]) == 2
+        err = capsys.readouterr().err
+        assert f"coordinator at {url} unreachable" in err
+        assert "`repro cluster down` cleans up" in err
+
     def test_startup_failure_reports_worker_output(self, tmp_path):
         cluster = LocalCluster(
             n=1,
             cache="no-such-store:x",
             state_path=str(tmp_path / "broken.json"),
-            startup_timeout=20.0,
         )
         with pytest.raises(RuntimeError, match="did not report"):
             cluster.start()
@@ -176,31 +194,55 @@ class TestClusterUpSignals:
 
     @staticmethod
     def _pid_alive(pid):
+        """Whether ``pid`` runs; a zombie (exited, not yet reaped) does not."""
         try:
             os.kill(pid, 0)
         except ProcessLookupError:
             return False
-        return True
+        try:
+            return "\nState:\tZ" not in Path(f"/proc/{pid}/status").read_text()
+        except FileNotFoundError:  # exited since, or no procfs
+            return not Path("/proc/self").exists()
 
-    def test_sigterm_reaps_workers_and_removes_state(self, tmp_path):
-        state_path = tmp_path / "cluster.json"
+    @staticmethod
+    def _cli(*args):
         src_dir = Path(repro.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src_dir))
+        return [sys.executable, "-m", "repro", *args], dict(
+            os.environ, PYTHONPATH=str(src_dir)
+        )
+
+    def _start_cluster(self, state_path):
+        """``repro cluster up -n 2`` and its state, once it wrote it."""
+        command, env = self._cli(
+            "cluster", "up", "-n", "2", "--port", "0",
+            "--state", str(state_path),
+        )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "cluster", "up", "-n", "2",
-             "--port", "0", "--state", str(state_path)],
+            command,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             env=env,
         )
+        deadline = time.monotonic() + 60
+        try:
+            while True:
+                try:
+                    return proc, read_state(str(state_path))
+                except (FileNotFoundError, ValueError):  # not yet written
+                    assert proc.poll() is None, "cluster up exited early"
+                    assert time.monotonic() < deadline, "no state file"
+                    time.sleep(0.05)
+        except AssertionError:
+            proc.kill()
+            proc.wait(timeout=10)
+            raise
+
+    def test_sigterm_reaps_workers_and_removes_state(self, tmp_path):
+        state_path = tmp_path / "cluster.json"
+        proc, state = self._start_cluster(state_path)
         pids = []
         try:
-            deadline = time.monotonic() + 60
-            while not state_path.exists():
-                assert proc.poll() is None, "cluster up exited early"
-                assert time.monotonic() < deadline, "no state file"
-                time.sleep(0.05)
-            pids = [int(w["pid"]) for w in read_state(str(state_path))["workers"]]
+            pids = [int(w["pid"]) for w in state["workers"]]
             assert len(pids) == 2
             assert all(self._pid_alive(pid) for pid in pids)
 
@@ -219,3 +261,73 @@ class TestClusterUpSignals:
             for pid in pids:
                 if self._pid_alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+    def test_down_stops_the_cluster_no_route_does(self, tmp_path):
+        state_path = tmp_path / "cluster.json"
+        proc, state = self._start_cluster(state_path)
+        url = state["coordinator"]["url"]
+        pids = [int(w["pid"]) for w in state["workers"]]
+        try:
+            assert len(pids) == 2
+            shutdown = urllib.request.Request(
+                f"{url}/cluster/shutdown", data=b"", method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(shutdown, timeout=10)
+            assert err.value.code == 404
+            with ServiceClient(url) as client:
+                own = client.get_json("/metrics")["coordinator"]["endpoints"]
+                assert own["other"]["count"] == 1
+                platform = StarPlatform.from_speeds([1.0, 2.0])
+                assert client.plan(
+                    PlanRequest(platform=platform, N=10.0, strategy="het")
+                ).plan is not None
+            assert proc.poll() is None
+
+            command, env = self._cli("cluster", "down", "--state", str(state_path))
+            down = subprocess.run(
+                command, capture_output=True, text=True, env=env, timeout=60
+            )
+            assert down.returncode == 0, down.stderr
+            assert "cluster down:" in down.stdout
+            assert proc.wait(timeout=15) == 0
+            assert [pid for pid in pids if self._pid_alive(pid)] == []
+            assert not state_path.exists()
+            again = subprocess.run(
+                command, capture_output=True, text=True, env=env, timeout=60
+            )
+            assert again.returncode == 2
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            for pid in pids:
+                if self._pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_down_never_signals_a_stale_state_files_pid(self, tmp_path):
+        from repro.cli import main
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        bystander = subprocess.Popen(["sleep", "60"])
+        try:
+            state_path = str(tmp_path / "stale.json")
+            write_state(
+                state_path,
+                {
+                    "coordinator": {
+                        "url": f"http://127.0.0.1:{port}",
+                        "pid": bystander.pid,
+                    },
+                    "workers": [],
+                },
+            )
+            assert main(["cluster", "down", "--state", state_path]) == 0
+            assert bystander.poll() is None
+            with pytest.raises(FileNotFoundError):
+                read_state(state_path)
+        finally:
+            bystander.kill()
+            bystander.wait(timeout=10)

@@ -26,14 +26,6 @@ class TestMembership:
         assert again.id == first.id
         assert len(pool.workers()) == 1
 
-    def test_register_revives_dead_worker(self):
-        pool = WorkerPool()
-        pool.register(URL_A)
-        pool.mark_dead(URL_A, "test")
-        assert not pool.alive()
-        pool.register(URL_A)
-        assert [w.url for w in pool.alive()] == [URL_A]
-
     def test_register_rejects_non_http(self):
         with pytest.raises(ValueError):
             WorkerPool().register("127.0.0.1:9001")
@@ -116,14 +108,14 @@ class TestLoadAccounting:
 
 class TestSnapshot:
     def test_snapshot_shape(self):
-        pool = WorkerPool(max_missed=3)
+        pool = WorkerPool()
         pool.register(URL_A)
         pool.register(URL_B)
         pool.mark_dead(URL_B, "test")
         snap = pool.snapshot()
         assert snap["total"] == 2
         assert snap["alive"] == 1
-        assert snap["max_missed"] == 3
+        assert snap["max_missed"] == 2
         by_url = {w["url"]: w for w in snap["workers"]}
         assert by_url[URL_B]["alive"] is False
         assert by_url[URL_B]["reason"] == "test"
@@ -138,7 +130,7 @@ class TestSnapshot:
 
 class TestMonitor:
     def test_marks_dead_after_max_missed_probes(self):
-        pool = WorkerPool(max_missed=2)
+        pool = WorkerPool()
         pool.register(URL_A)
         pool.start_monitor(lambda url: False, interval=0.05)
         try:
@@ -153,7 +145,7 @@ class TestMonitor:
             pool.stop_monitor()
 
     def test_probe_success_revives(self):
-        pool = WorkerPool(max_missed=1)
+        pool = WorkerPool()
         pool.register(URL_A)
         healthy = threading.Event()
         pool.start_monitor(lambda url: healthy.is_set(), interval=0.05)
@@ -171,7 +163,7 @@ class TestMonitor:
             pool.stop_monitor()
 
     def test_probe_exception_counts_as_miss(self):
-        pool = WorkerPool(max_missed=1)
+        pool = WorkerPool()
         pool.register(URL_A)
 
         def explode(url):
@@ -199,10 +191,6 @@ class TestMonitor:
 
 
 class TestValidation:
-    def test_max_missed_must_be_positive(self):
-        with pytest.raises(ValueError):
-            WorkerPool(max_missed=0)
-
     def test_monitor_interval_must_be_positive(self):
         pool = WorkerPool()
         with pytest.raises(ValueError):

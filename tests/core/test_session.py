@@ -1,5 +1,7 @@
 """Tests for PlannerSession: where misses plan, plan cache, batching."""
 
+import threading
+
 import pytest
 
 from repro import registry
@@ -257,6 +259,37 @@ class TestCache:
         assert sweep.cache_hits is None and sweep.cache_misses is None
         assert not any(res.cached for res in again.results.values())
         assert "cache:" not in again.render()
+
+    def test_sweep_counts_only_its_own_lookups(self, heterogeneous_platform):
+        others = [
+            PlanRequest(platform=heterogeneous_platform, N=50.0 + i)
+            for i in range(4)
+        ]
+
+        class Shared(MemoryPlanCache):
+            """Lets a second session plan, from another thread, in the
+            middle of the sweep's first lookup."""
+
+            def get(self, key):
+                if others:
+                    batch = others[:]
+                    others.clear()
+                    thread = threading.Thread(
+                        target=other.plan_batch, args=(batch,)
+                    )
+                    thread.start()
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                return super().get(key)
+
+        shared = Shared()
+        with PlannerSession(cache=shared) as other, PlannerSession(
+            cache=shared
+        ) as session:
+            sweep = session.sweep(heterogeneous_platform, 1000.0)
+            assert shared.stats.lookups == len(ALL_STRATEGIES) + 4
+        assert sweep.cache_hits + sweep.cache_misses == len(sweep.results)
+        assert sweep.cache_misses == len(ALL_STRATEGIES)
 
     def test_shared_cache_between_sessions(self, heterogeneous_platform):
         shared = MemoryPlanCache()

@@ -10,8 +10,9 @@ from repro.loadtest import (
     find_max_rps,
     run_loadtest,
 )
+from repro.loadtest.report import LoadtestReport
 from repro.loadtest.slo import MAX_DOUBLINGS
-from repro.obs import SpanRecorder, assemble_traces
+from repro.obs import Span, SpanRecorder, assemble_traces, stage_stats
 from repro.service.server import PlanServer
 
 
@@ -48,6 +49,32 @@ class TestDriverTraceSampling:
         assert payload["trace"]["p99_ms"] >= payload["trace"]["p50_ms"] >= 0
         assert len(payload["trace"]["slowest"]) <= 5
         assert "traces: 1-in-3 sampled" in report.render()
+
+    def test_summary_quantiles_are_repro_traces(self):
+        # 100 client spans of 1..100 ms: p50 50 ms and p99 99 ms, the
+        # same figures `repro trace` prints for them
+        spans = [
+            Span(
+                trace_id=f"{i:016x}",
+                span_id=f"{i:08x}",
+                parent_id=None,
+                name="client /plan",
+                service="client",
+                start_s=0.0,
+                duration_s=i / 1000.0,
+            )
+            for i in range(1, 101)
+        ]
+        report = LoadtestReport(
+            target="t", seed=0, threads=1, target_rps=1.0, duration_s=1.0,
+            elapsed_s=1.0, sent=100, ok=100, errors=0, refused_429=0,
+            unavailable=0, ok_weight=100, error_budget=0.0,
+            client_metrics={}, trace_sample=1, client_spans=spans,
+        )
+        summary = report.trace_summary()
+        (stage,) = stage_stats(assemble_traces(spans))
+        assert summary["p50_ms"] == round(1000.0 * stage.p50_s, 3) == 50.0
+        assert summary["p99_ms"] == round(1000.0 * stage.p99_s, 3) == 99.0
 
     def test_untraced_run_has_no_trace_section(self, server):
         report = run_loadtest(

@@ -9,7 +9,7 @@ from repro.obs import (
     render_trace,
     stage_stats,
 )
-from repro.obs.assemble import Trace, _quantile
+from repro.obs.assemble import Trace, quantile
 
 TID = "f" * 16
 
@@ -148,9 +148,9 @@ class TestStageStats:
 
     def test_quantile_upper_bound_rule(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        assert _quantile(values, 0.50) == 2.0
-        assert _quantile(values, 0.99) == 4.0
-        assert _quantile([], 0.5) == 0.0
+        assert quantile(values, 0.50) == 2.0
+        assert quantile(values, 0.99) == 4.0
+        assert quantile([], 0.5) == 0.0
 
 
 class TestReadSpans:

@@ -252,15 +252,15 @@ class TestMetricsFormats:
 class TestAdmission:
     @pytest.mark.parametrize("route", ["/plan", "/plan_batch"])
     def test_zero_inflight_is_429_with_retry_after(self, make_front, route):
-        front = make_front(max_inflight=0, retry_after=0.25)
+        front = make_front(max_inflight=0)
         payload = _plan_request() if route == "/plan" else [_plan_request()]
         status, headers, data = call(
             f"{front.url}{route}", wire.pack_v2(payload)
         )
         assert status == 429
-        assert headers["Retry-After"] == "0.25"
+        assert headers["Retry-After"] == "0.5"
         body = json.loads(data)
-        assert body["retry_after"] == 0.25
+        assert body["retry_after"] == 0.5
         assert "over capacity" in body["error"]
         assert own_endpoints(front)[route]["errors"] == 1
 

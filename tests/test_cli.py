@@ -6,6 +6,9 @@ import subprocess
 import pytest
 
 from repro.cli import build_parser, main
+from repro.registry import RegistryError
+from repro.service.frontdoor import ListenError
+from repro.service.server import PlanServer
 
 
 class TestParser:
@@ -274,6 +277,27 @@ class TestListenErrors:
         assert line.startswith(f"error: cannot listen on {host}:{port}: ")
         assert not state.exists()
         assert all(proc.poll() is not None for proc in spawned)
+
+    def test_serve_that_cannot_listen_creates_no_store(self, tmp_path, capsys):
+        store = tmp_path / "plans.db"
+        rc = main(["serve", "--port", "70000", "--cache", f"sqlite:{store}"])
+        assert rc == 2
+        assert "cannot listen on" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_server_on_a_busy_port_opens_no_store(self, busy_port, tmp_path):
+        store = tmp_path / "plans.db"
+        with pytest.raises(ListenError):
+            PlanServer(port=busy_port, cache=f"sqlite:{store}")
+        assert not store.exists()
+
+    def test_bad_store_spec_frees_the_port(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(RegistryError):
+            PlanServer(port=port, cache="no-such-store:x")
+        PlanServer(port=port).close()
 
     def test_failed_cluster_up_keeps_another_clusters_state(
         self, busy_port, tmp_path, capsys
